@@ -10,11 +10,13 @@ Each request is a distinct frame and the output cache is disabled, so the
 numbers measure inference, not memoization; tiles per frame exceed the
 worker count, so a single request already exercises the whole pool.
 
-The table is the motivation for the process backend in one screen: thread
-workers cannot beat one worker (the conv matmuls contend for the GIL),
-process workers can — on a multi-core host.  Orderings are asserted only
-when the host has the cores to show them; outputs are asserted bit-identical
-across backends unconditionally.
+Thread workers scale only while workers x BLAS threads stay within the
+cores: before the engine sized the BLAS pool (``repro.serve.cpu``), every
+worker's conv GEMMs also fanned out over a one-thread-per-core OpenBLAS
+pool, and 4 thread workers served fewer requests than 1.  The process
+backend should beat one thread worker on a multi-core host.  Orderings are
+asserted only when the host has the cores to show them; outputs are
+asserted bit-identical across backends unconditionally.
 """
 
 import os

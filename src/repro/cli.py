@@ -496,6 +496,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"serving {args.model} x{args.scale} ({args.precision}) "
           f"on http://{host}:{port} [{args.frontend} frontend]")
     print(config.describe())
+    live = engine.stats()["config"]
+    blas = live["blas_threads"]
+    print(f"  cpu: {live['cores']} cores, BLAS threads "
+          f"{'n/a (no OpenBLAS loaded)' if blas is None else blas}")
     print("endpoints: POST /v1/upscale  GET /v1/healthz  GET /v1/stats  "
           "GET /v1/metrics  (Ctrl-C stops)")
     _install_shutdown_handlers()

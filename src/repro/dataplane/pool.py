@@ -43,6 +43,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..obs import trace as _trace
+from ..serve.cpu import threads_per_worker
 from .arena import SharedTileArena, slot_layout
 from .envelope import JobEnvelope, ReplyEnvelope, TraceContext
 from .worker import worker_main
@@ -121,6 +122,9 @@ class ProcessWorkerPool:
                 "thread backend"
             ) from exc
         self.workers = workers
+        # Each child owns one share of the cores, so its BLAS pool never
+        # fans a GEMM out over cores its siblings are using.
+        self.blas_threads = threads_per_worker(workers)
         self.alloc_timeout = alloc_timeout
         in_bytes, out_bytes = slot_layout(tile, halo, scale, max_batch)
         self.arena = SharedTileArena(
@@ -154,7 +158,7 @@ class ProcessWorkerPool:
             target=worker_main,
             args=(child_conn, self._model_bytes, self.arena.name,
                   self.arena.in_bytes, self.arena.out_bytes,
-                  self.arena.slots),
+                  self.arena.slots, self.blas_threads),
             name=f"sr-dataplane-{self._next_wid}",
             daemon=True,
         )
@@ -370,6 +374,7 @@ class ProcessWorkerPool:
             out = {
                 "backend": "process",
                 "workers": len(self._handles),
+                "blas_threads": self.blas_threads,
                 "alive": alive,
                 "deaths": self._deaths,
                 "respawns": self._respawns,

@@ -1,11 +1,12 @@
 """Process-worker main loop: attach, compute, reply.
 
 Spawned (never forked — a threaded parent's locks must not leak into
-children) with three pickled arguments: its end of a duplex pipe, the
-**plan/weights handoff** — ``pickle.dumps`` of the engine's model, a
+children) with its end of a duplex pipe, the **plan/weights handoff** —
+``pickle.dumps`` of the engine's model, a
 :class:`~repro.compile.CompiledModel` whose ``__getstate__`` carries just
-the optimised graph (weights by reference) and buffer plan — and the
-shared arena's name/geometry.  The worker rebuilds the model once at
+the optimised graph (weights by reference) and buffer plan — the shared
+arena's name/geometry, and its BLAS thread count (its share of the cores,
+set before the first GEMM).  The worker rebuilds the model once at
 startup (plan and steps re-prepared, per-shape arenas grown lazily, all
 planner-sized) and then serves :class:`~repro.dataplane.JobEnvelope`\\ s
 until told to shut down.
@@ -60,8 +61,12 @@ class _SpanCollector:
 
 
 def worker_main(conn, model_bytes: bytes, arena_name: str,
-                in_bytes: int, out_bytes: int, slots: int) -> None:
+                in_bytes: int, out_bytes: int, slots: int,
+                blas_threads: int) -> None:
     """Entry point of one dataplane worker process."""
+    from ..serve.cpu import POOL
+
+    POOL.set_threads(blas_threads)
     collector = _SpanCollector()
     _trace.set_tracer(_trace.Tracer(exporters=[collector]))
     model = pickle.loads(model_bytes)

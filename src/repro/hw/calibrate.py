@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .estimator import estimate
 from .graph import InferenceGraph, fsrcnn_graph, sesr_hw_graph
@@ -88,6 +87,10 @@ def residuals(npu: NPUSpec) -> Dict[str, Tuple[float, float]]:
 
 def fit_spec(base: NPUSpec = NPUSpec()) -> NPUSpec:
     """Fit (bandwidth, SRAM, compression) to the Table 3 anchors."""
+    # Imported here: scipy.optimize costs ~0.5 s, and `import repro` (every
+    # server and process worker start) reaches this module.
+    from scipy.optimize import least_squares
+
     rows = anchor_rows()
 
     def objective(params: np.ndarray) -> np.ndarray:

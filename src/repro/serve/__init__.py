@@ -3,7 +3,9 @@
 The deployment pipeline the paper's efficiency story points at: collapsed
 SESR networks loaded once (:mod:`~repro.serve.registry`), requests tiled
 and fanned across a worker pool (:mod:`~repro.serve.engine`) whose
-configuration is one frozen :class:`EngineConfig` value, same-shape tile
+configuration is one frozen :class:`EngineConfig` value, the process's
+BLAS pool sized so workers x BLAS threads fit the cores
+(:mod:`~repro.serve.cpu`), same-shape tile
 jobs from concurrent requests coalesced bit-exactly by a dynamic
 :class:`BatchScheduler` (:mod:`~repro.serve.scheduler`), repeated inputs
 answered from an LRU output cache (:mod:`~repro.serve.cache`), everything

@@ -5,10 +5,12 @@ tiles exactly like :func:`repro.deploy.tiled.tiled_upscale` (same tile
 planner, same :func:`~repro.deploy.tiled.receptive_radius` halo default),
 fans the tiles out across a thread worker pool, and stitches the upscaled
 cores back into the response — so a single 1080p frame saturates every
-worker instead of serialising behind one thread.  NumPy releases the GIL
-inside the im2col matmuls, which is where collapsed-SESR inference spends
-its time, so plain threads give real parallelism without pickling images
-across processes.
+worker instead of serialising behind one thread.  The parallelism is one
+tile per worker, not inside a tile: while workers are live, the
+process's BLAS pool is sized to ``max(1, cores // live workers)``
+(:mod:`repro.serve.cpu`), so the workers' GEMMs together run at most
+``max(cores, workers)`` threads.  The pool size does not change output
+bits.
 
 Configuration is one frozen :class:`~repro.serve.EngineConfig` value —
 ``InferenceEngine(registry, key, config=EngineConfig(...))`` is the
@@ -82,6 +84,7 @@ from ..nn import Module, Tensor, no_grad
 from ..obs import trace as _trace
 from ..resilience import CircuitBreaker, FaultInjector, WorkerDeath
 from ..train import predict_image
+from . import cpu as _cpu
 from .cache import LRUCache, array_digest
 from .config import EngineConfig
 from .registry import ModelKey, ModelRegistry
@@ -344,6 +347,11 @@ class InferenceEngine:
                 scale=self.scale,
                 max_batch=config.max_batch,
             )
+        # Registered once construction can no longer fail, so a raising
+        # constructor leaves no workers counted against the BLAS pool.
+        # Process workers count too: they compute on the same cores.
+        self._blas_pool = _cpu.POOL
+        self._blas_pool.register(config.workers)
         self._workers = [self._spawn_worker() for _ in range(config.workers)]
         self._supervisor: Optional[threading.Thread] = None
         if config.supervise:
@@ -789,6 +797,7 @@ class InferenceEngine:
             # pool: reap every worker process and unlink the shared-memory
             # arena so a drained engine leaves no /dev/shm residue.
             self._pool.shutdown()
+        self._blas_pool.unregister(self.config.workers)
 
     @property
     def closed(self) -> bool:
@@ -845,6 +854,8 @@ class InferenceEngine:
             "compiled": self.compiled,
             "compile_fallback": self.compile_fallback,
             "supervised": self._supervisor is not None,
+            "cores": self._blas_pool.cores,
+            "blas_threads": self._blas_pool.threads(),
         })
         snap["config"] = config
         return snap

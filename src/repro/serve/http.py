@@ -151,6 +151,9 @@ class SRRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle on, the body waits
+    # for the client's delayed ACK of the headers (~40 ms on keep-alive).
+    disable_nagle_algorithm = True
 
     @property
     def engine(self) -> InferenceEngine:

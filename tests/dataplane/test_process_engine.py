@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.serve import EngineConfig, InferenceEngine, ModelKey, ModelRegistry
+from repro.serve.cpu import cores
 
 KEY = ModelKey(name="M3", scale=2)
 
@@ -84,6 +85,7 @@ class TestStatsAndLifecycle:
         dp = snap["dataplane"]
         assert dp["backend"] == "process"
         assert dp["workers"] == 2 and dp["alive"] == 2
+        assert dp["blas_threads"] == max(1, cores() // 2)
         assert dp["jobs_submitted"] > 0
         assert dp["arena"]["slots"] == 4  # workers + 2 spares
         assert snap["config"]["worker_backend"] == "process"

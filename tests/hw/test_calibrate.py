@@ -1,5 +1,9 @@
 """Calibration regression tests: the frozen spec must keep matching Table 3."""
 
+import json
+import subprocess
+import sys
+
 import pytest
 
 from repro.hw import ETHOS_N78_4TOPS, anchor_rows, fit_spec, residuals
@@ -41,3 +45,14 @@ class TestRefit:
         a, b = fit_spec(), fit_spec()
         assert a.dram_bandwidth == b.dram_bandwidth
         assert a.compression_ratio == b.compression_ratio
+
+
+def test_importing_the_serving_stack_loads_no_scipy():
+    """scipy.optimize costs ~0.5 s of every server and worker start; only
+    :func:`fit_spec` needs it, so only calling it may import it."""
+    code = ("import json, sys; import repro.serve, repro.api, repro.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert json.loads(out) == []

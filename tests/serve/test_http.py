@@ -1,8 +1,10 @@
 """End-to-end HTTP tests against an ephemeral in-process server."""
 
+import http.client
 import json
 import os
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -112,6 +114,27 @@ class TestUpscale:
         assert latency["p50"] > 0 and latency["p95"] >= latency["p50"]
         assert stats["cache"]["hits"] >= 1
         assert stats["config"]["workers"] == 2
+
+    def test_keep_alive_responses_do_not_wait_for_delayed_acks(self, server):
+        # Headers and body are two writes: with Nagle on, the body waits
+        # ~40 ms for the client's delayed ACK on every keep-alive request.
+        rng = np.random.default_rng(3)
+        bodies = [encode_netpbm(rng.random((32, 32)).astype(np.float32))
+                  for _ in range(25)]
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        latencies = []
+        try:
+            for body in bodies:
+                start = time.perf_counter()
+                conn.request("POST", "/v1/upscale", body=body)
+                resp = conn.getresponse()
+                resp.read()
+                latencies.append((time.perf_counter() - start) * 1e3)
+                assert resp.status == 200
+        finally:
+            conn.close()
+        assert np.median(latencies) < 20.0, latencies
 
 
 @pytest.fixture(scope="module")

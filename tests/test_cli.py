@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.datasets import load_image, save_image
+from repro.serve.cpu import cores
 
 
 class TestParser:
@@ -68,6 +69,7 @@ class TestServeFlags:
         out = capsys.readouterr().out
         assert "workers 1" in out and "tile 32x32" in out
         assert "cross-request window 4 ms" in out
+        assert f"cpu: {cores()} cores, BLAS threads" in out
         assert "POST /v1/upscale" in out
 
 
