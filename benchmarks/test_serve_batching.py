@@ -3,18 +3,10 @@
 The scenario the scheduler exists for: many concurrent clients, each
 posting a *small* frame (one tile per request), so per-request work is
 dispatch-dominated and the only lever is coalescing tiles from different
-requests into shared forward passes.  Grid: ``gemm_backend`` in
-``{blas, blocked}`` x ``batch_window_ms = 0`` (coalescing off — the
-pre-batching engine, pinned bit-identical) against increasing windows,
-all at the same worker count and with the output cache off.
-
-The ``blocked`` rows exercise the deterministic blocked GEMM kernel:
-a coalesced batch runs ONE stacked GEMM per conv (asserted via profiler
-op counts — ``gemm.blocked`` calls == convs x dispatches), and the
-outputs stay bit-identical to the window-0 singles of the same backend.
-``blas`` and ``blocked`` are *not* compared bitwise to each other — they
-are different summation orders by design; each backend is compared to
-itself across windows.
+requests into shared forward passes.  Grid: ``batch_window_ms = 0``
+(coalescing off — the pre-batching engine, pinned bit-identical) against
+increasing windows, all at the same worker count and with the output
+cache off.  Outputs at every window are compared bitwise to window 0.
 
 Assertions are functional (host-independent) everywhere; the throughput
 ordering is asserted only on hosts with >= 2 cores, where coalescing can
@@ -31,7 +23,6 @@ import numpy as np
 import pytest
 
 from common import FAST, emit
-from repro.obs.profiler import profile
 from repro.serve import EngineConfig, InferenceEngine, ModelKey, ModelRegistry
 
 FRAME = (24, 24)          # one tile per request: the coalescing-bound case
@@ -39,7 +30,6 @@ CLIENTS = 8               # ISSUE floor: gains demonstrated at >= 8 clients
 REQUESTS_PER_CLIENT = 3 if FAST else 8
 WORKERS = 2               # fewer workers than clients => a real backlog
 WINDOWS_MS = (0.0, 2.0, 10.0)
-BACKENDS = ("blas", "blocked")
 
 BASE = EngineConfig(
     workers=WORKERS, tile=32, cache_size=0, max_pending=64,
@@ -65,17 +55,15 @@ def run_load(engine: InferenceEngine, frames) -> dict:
 
     threads = [threading.Thread(target=client, args=(c,))
                for c in range(CLIENTS)]
-    with profile() as prof:
-        start = perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        elapsed = perf_counter() - start
+    start = perf_counter()
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    elapsed = perf_counter() - start
     assert not errors, errors
     latency = engine.telemetry.histogram("engine.request_latency_ms")
-    snap = engine.stats()
-    stats = snap["batching"]
+    stats = engine.stats()["batching"]
     return {
         "outputs": outputs,
         "rps": len(frames) / elapsed,
@@ -83,10 +71,6 @@ def run_load(engine: InferenceEngine, frames) -> dict:
         "p99": latency.percentile(99),
         "mean_batch": stats["mean_batch_size"],
         "coalesce_ratio": stats["coalesce_ratio"],
-        "dispatches": snap["counters"]["engine.batches"],
-        "fallbacks": stats["batch_fallbacks"],
-        "gemms": {op: st.calls for op, st in prof.stats().items()
-                  if op.startswith("gemm.")},
     }
 
 
@@ -94,14 +78,6 @@ def run_load(engine: InferenceEngine, frames) -> dict:
 def test_serve_batching():
     registry = ModelRegistry()
     key = ModelKey(name="M5", scale=2)
-    # Calibrate: one blocked forward pass records exactly one gemm.blocked
-    # per conv step — that count anchors assertion 5 below.
-    compiled = registry.get_compiled(key)
-    compiled.set_gemm_backend("blocked")
-    with profile() as cal:
-        compiled.run(np.zeros((1, 8, 8, 1), dtype=np.float32))
-    n_convs = cal.stats()["gemm.blocked"].calls
-    assert n_convs > 0
     rng = np.random.default_rng(0)
     frames = [
         rng.random(FRAME).astype(np.float32)
@@ -109,25 +85,24 @@ def test_serve_batching():
     ]
 
     results = {}
-    for backend in BACKENDS:
-        for window in WINDOWS_MS:
-            cfg = BASE.replace(batch_window_ms=window, gemm_backend=backend)
-            with InferenceEngine(registry, key, config=cfg) as engine:
-                results[backend, window] = run_load(engine, frames)
+    for window in WINDOWS_MS:
+        cfg = BASE.replace(batch_window_ms=window)
+        with InferenceEngine(registry, key, config=cfg) as engine:
+            results[window] = run_load(engine, frames)
 
     rows = [
-        [backend, f"{window:g}", f"{r['rps']:.1f}",
-         f"{r['rps'] / results[backend, 0.0]['rps']:.2f}x",
+        [f"{window:g}", f"{r['rps']:.1f}",
+         f"{r['rps'] / results[0.0]['rps']:.2f}x",
          f"{r['p50']:.1f}", f"{r['p99']:.1f}",
          f"{r['mean_batch']:.2f}", f"{r['coalesce_ratio']:.2f}"]
-        for (backend, window), r in results.items()
+        for window, r in results.items()
     ]
     emit(
         f"Cross-request batching — SESR-M5 x2, {FRAME[1]}x{FRAME[0]} LR "
         f"frames, {CLIENTS} clients x {REQUESTS_PER_CLIENT} requests, "
         f"{WORKERS} workers (host: {os.cpu_count()} cores); speedup is "
-        f"vs window 0 of the same gemm backend",
-        ["backend", "window ms", "req/s", "speedup", "p50 ms", "p99 ms",
+        f"vs window 0",
+        ["window ms", "req/s", "speedup", "p50 ms", "p99 ms",
          "mean batch", "coalesce"],
         rows,
         "serve_batching.txt",
@@ -136,44 +111,23 @@ def test_serve_batching():
     # Functional floors (host-independent):
     # 1. every configuration sustained traffic,
     assert all(r["rps"] > 0 for r in results.values())
-    for backend in BACKENDS:
-        # 2. with a window open, cross-request coalescing actually happened,
-        for window in WINDOWS_MS[1:]:
-            assert results[backend, window]["mean_batch"] > 1.0, \
-                (backend, window)
-            assert results[backend, window]["coalesce_ratio"] > 0.0, \
-                (backend, window)
-        # 3. window 0 never coalesced (the pinned legacy path),
-        assert results[backend, 0.0]["mean_batch"] == 1.0
-        assert results[backend, 0.0]["coalesce_ratio"] == 0.0
-        # 4. batching is a throughput knob, not an accuracy knob: outputs
-        #    are bit-identical across every window of the same backend,
-        #    including 0 — for `blocked` this is exactly the m-invariance
-        #    the kernel exists for (one stacked GEMM == N single runs).
-        base = results[backend, 0.0]
-        for window in WINDOWS_MS[1:]:
-            for got, want in zip(results[backend, window]["outputs"],
-                                 base["outputs"]):
-                assert np.array_equal(got, want)
-    # 5. the blocked backend issued ONE stacked GEMM per conv per dispatch
-    #    — never per sample — and no BLAS GEMM at all; the blas backend
-    #    never touched the blocked kernel.
-    for (backend, window), r in results.items():
-        if r["fallbacks"]:  # pragma: no cover — fault-free run
-            continue
-        if backend == "blocked":
-            assert r["gemms"].get("gemm.blocked") == \
-                n_convs * r["dispatches"], (window, r["gemms"])
-            assert "gemm.blas" not in r["gemms"]
-        else:
-            assert "gemm.blocked" not in r["gemms"]
-    # 6. the whole grid collapsed the model exactly once (registry cache).
+    # 2. with a window open, cross-request coalescing actually happened,
+    for window in WINDOWS_MS[1:]:
+        assert results[window]["mean_batch"] > 1.0, window
+        assert results[window]["coalesce_ratio"] > 0.0, window
+    # 3. window 0 never coalesced (the pinned legacy path),
+    assert results[0.0]["mean_batch"] == 1.0
+    assert results[0.0]["coalesce_ratio"] == 0.0
+    # 4. batching is a throughput knob, not an accuracy knob: outputs
+    #    are bit-identical across every window, including 0.
+    for window in WINDOWS_MS[1:]:
+        for got, want in zip(results[window]["outputs"],
+                             results[0.0]["outputs"]):
+            assert np.array_equal(got, want)
+    # 5. the whole grid collapsed the model exactly once (registry cache).
     assert registry.collapse_count(key) == 1
-    # 7. on hosts with real parallelism, an open window beats window 0
+    # 6. on hosts with real parallelism, an open window beats window 0
     #    (dispatch-dominated traffic is the case batching exists for).
     if not FAST and (os.cpu_count() or 1) >= 2:
-        for backend in BACKENDS:
-            best = max(
-                results[backend, w]["rps"] for w in WINDOWS_MS[1:]
-            )
-            assert best > results[backend, 0.0]["rps"], backend
+        best = max(results[w]["rps"] for w in WINDOWS_MS[1:])
+        assert best > results[0.0]["rps"]

@@ -14,17 +14,10 @@ the compatibility surface (``docs/api.md`` is generated from it).
 
 Serving::
 
->>> config = api.EngineConfig(workers=4, batch_window_ms=3.0,
-...                           gemm_backend="blocked")
+>>> config = api.EngineConfig(workers=4, batch_window_ms=3.0)
 >>> engine = api.InferenceEngine(
 ...     api.ModelRegistry(), api.ModelKey("M5", 2), config=config)
 >>> server = api.make_server(engine, port=8000)
-
-``make_async_server`` binds the event-loop front-end instead (same
-``/v1`` wire contract); ``AsyncSRServer`` / ``ProcessWorkerPool`` are
-the classes behind ``--frontend async`` / ``worker_backend="process"``.
-:func:`tune` measures the GEMM kernels per conv shape and writes the
-per-host cache that ``gemm_backend="auto"`` consults.
 
 Deeper machinery (custom training loops, the NAS searcher, the NPU
 estimator, chaos tooling) stays in its subsystem package; this module
@@ -33,17 +26,15 @@ deliberately re-exports only the pieces whose signatures we keep stable.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .compile import compile_model
 from .core import FSRCNN, SESR
-from .dataplane import AsyncSRServer, ProcessWorkerPool, make_async_server
 from .datasets import rgb_to_ycbcr, ycbcr_to_rgb
 from .datasets.degradation import bicubic_upscale
 from .deploy import tiled_upscale
-from .kernels import save_cache, tune_model
 from .nn import Module, load_state
 from .serve import (
     EngineConfig,
@@ -58,15 +49,11 @@ __all__ = [
     "load",
     "collapse",
     "compile_model",
-    "tune",
     "upscale",
-    "AsyncSRServer",
     "EngineConfig",
     "InferenceEngine",
     "ModelKey",
     "ModelRegistry",
-    "ProcessWorkerPool",
-    "make_async_server",
     "make_server",
 ]
 
@@ -97,29 +84,6 @@ def collapse(model: Module) -> Module:
     deployed = model.collapse() if hasattr(model, "collapse") else model
     deployed.eval()
     return deployed
-
-
-def tune(model: Module, size: Tuple[int, int] = (96, 96),
-         repeats: int = 3, save: bool = True,
-         cache: Optional[str] = None) -> Dict[str, Dict[str, Any]]:
-    """Time blas/blocked/direct per conv shape; optionally persist.
-
-    ``model`` is a collapsed (or any compilable) model — it is compiled
-    first if needed.  Returns the measured rows keyed by conv shape
-    (see :func:`repro.kernels.shape_key`); with ``save=True`` they are
-    merged into the per-host cache (``cache`` path, else
-    ``$REPRO_TUNING_CACHE``, else ``~/.cache/repro/kernel_tuning.json``)
-    that ``EngineConfig(gemm_backend="auto")`` consults.  The CLI
-    equivalent is ``repro tune``.
-    """
-    from .compile.executor import CompiledModel
-
-    compiled = (model if isinstance(model, CompiledModel)
-                else compile_model(collapse(model)))
-    rows = tune_model(compiled, size=size, repeats=repeats)
-    if save:
-        save_cache(rows, path=cache)
-    return rows
 
 
 def upscale(

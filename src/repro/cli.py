@@ -1,5 +1,5 @@
 """Command-line interface: train / eval / upscale / collapse / compile /
-estimate / nas / serve / profile / tune.
+estimate / nas / serve / profile.
 
 Examples
 --------
@@ -36,11 +36,6 @@ Inspect what the graph compiler does to the collapsed net (see
 docs/compiler.md)::
 
     python -m repro.cli compile --model M5 --scale 2 --size 96 --dump-ir
-
-Time the GEMM kernels per conv shape and persist the per-host tuning
-cache that ``--gemm-backend auto`` consults (see docs/kernels.md)::
-
-    python -m repro.cli tune --model M5 --scale 2 --size 96
 """
 
 from __future__ import annotations
@@ -371,47 +366,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tune(args: argparse.Namespace) -> int:
-    from .compile import CaptureError, compile_model
-    from .kernels import save_cache, tune_model
-    from .nn import load_state
-    from .utils import format_table
-
-    model = _build_model(args.model, args.scale, args.seed)
-    if args.ckpt:
-        load_state(model, args.ckpt)
-    if hasattr(model, "collapse"):
-        model = model.collapse()
-    model.eval()
-    try:
-        compiled = compile_model(model)
-    except CaptureError as exc:
-        print(f"repro tune: error: cannot compile {args.model}: {exc}",
-              file=sys.stderr)
-        return 2
-    print(f"timing GEMM kernels for {args.model} x{args.scale} "
-          f"@ {args.size}x{args.size} LR (best of {args.repeats}) ...")
-    rows = tune_model(
-        compiled, size=(args.size, args.size),
-        repeats=args.repeats, seed=args.seed,
-    )
-    table = [
-        [key, row["kernel"]]
-        + [f"{row['ms'][k]:.3f}" for k in ("blas", "blocked", "direct")]
-        for key, row in rows.items()
-    ]
-    print(format_table(
-        ["conv shape", "winner", "blas ms", "blocked ms", "direct ms"],
-        table, title="per-shape kernel winners",
-    ))
-    if args.no_save:
-        print("cache not written (--no-save)")
-    else:
-        path = save_cache(rows, path=args.cache or None)
-        print(f"wrote {len(rows)} shape row(s): {path}")
-    return 0
-
-
 def _install_shutdown_handlers() -> None:
     """Route SIGINT/SIGTERM through KeyboardInterrupt for a clean drain.
 
@@ -448,30 +402,23 @@ def cmd_serve(args: argparse.Namespace) -> int:
         name=args.model, scale=args.scale, ckpt=args.ckpt,
         precision=args.precision,
     )
-    config_kwargs = dict(
-        workers=args.workers,
-        tile=args.tile,
-        microbatch=args.microbatch,
-        max_batch=args.max_batch,
-        batch_window_ms=args.batch_window_ms,
-        cache_size=args.cache_size,
-        max_pending=args.queue_size,
-        default_timeout=args.timeout,
-        retry=RetryPolicy(max_attempts=args.retries),
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
-        degraded_mode=not args.no_degraded,
-        wedge_timeout=args.timeout * 4,
-        compiled=not args.no_compile,
-    )
-    # Omitted => EngineConfig's default applies, which honours the
-    # REPRO_WORKER_BACKEND / REPRO_GEMM_BACKEND environment variables.
-    if args.worker_backend:
-        config_kwargs["worker_backend"] = args.worker_backend
-    if args.gemm_backend:
-        config_kwargs["gemm_backend"] = args.gemm_backend
     try:
-        config = EngineConfig(**config_kwargs)
+        config = EngineConfig(
+            workers=args.workers,
+            tile=args.tile,
+            microbatch=args.microbatch,
+            max_batch=args.max_batch,
+            batch_window_ms=args.batch_window_ms,
+            cache_size=args.cache_size,
+            max_pending=args.queue_size,
+            default_timeout=args.timeout,
+            retry=RetryPolicy(max_attempts=args.retries),
+            breaker_threshold=args.breaker_threshold,
+            breaker_cooldown=args.breaker_cooldown,
+            degraded_mode=not args.no_degraded,
+            wedge_timeout=args.timeout * 4,
+            compiled=not args.no_compile,
+        )
     except ValueError as exc:
         print(f"repro serve: error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -480,30 +427,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except (KeyError, FileNotFoundError, CheckpointCorrupt) as exc:
         print(f"repro serve: error: {exc.args[0]}", file=sys.stderr)
         return 2
-    if args.frontend == "async":
-        from .dataplane import make_async_server
-
-        server = make_async_server(
-            engine, args.host, args.port, verbose=args.verbose,
-            max_body_bytes=args.max_body_bytes,
-        )
-    else:
-        server = make_server(
-            engine, args.host, args.port, verbose=args.verbose,
-            max_body_bytes=args.max_body_bytes,
-        )
+    server = make_server(
+        engine, args.host, args.port, verbose=args.verbose,
+        max_body_bytes=args.max_body_bytes,
+    )
     host, port = server.server_address[:2]
-    print(f"serving {args.model} x{args.scale} ({args.precision}) "
-          f"on http://{host}:{port} [{args.frontend} frontend]")
-    print(config.describe())
-    live = engine.stats()["config"]
-    blas = live["blas_threads"]
-    print(f"  cpu: {live['cores']} cores, BLAS threads "
-          f"{'n/a (no OpenBLAS loaded)' if blas is None else blas}")
-    print("endpoints: POST /v1/upscale  GET /v1/healthz  GET /v1/stats  "
-          "GET /v1/metrics  (Ctrl-C stops)")
+    # Installed before the banner, so a signal sent as soon as the
+    # "endpoints:" line appears still drains instead of killing.
     _install_shutdown_handlers()
     try:
+        print(f"serving {args.model} x{args.scale} ({args.precision}) "
+              f"on http://{host}:{port}")
+        print(config.describe())
+        live = engine.stats()["config"]
+        blas = live["blas_threads"]
+        print(f"  cpu: {live['cores']} cores, BLAS threads "
+              f"{'n/a (no OpenBLAS loaded)' if blas is None else blas}")
+        print("endpoints: POST /v1/upscale  GET /v1/healthz  "
+              "GET /v1/stats  GET /v1/metrics  (Ctrl-C stops)")
         server.serve_forever()
     except KeyboardInterrupt:
         print("\nshutting down (draining in-flight requests) ...")
@@ -579,27 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8000,
                    help="TCP port (0 = ephemeral)")
     p.add_argument("--workers", type=int, default=4,
-                   help="inference workers (threads or processes, see "
-                        "--worker-backend)")
-    p.add_argument("--worker-backend", choices=("thread", "process"),
-                   default=None,
-                   help="where tile compute runs: 'thread' (in-process) "
-                        "or 'process' (spawned workers + shared-memory "
-                        "tile arenas; escapes the GIL).  Default: the "
-                        "REPRO_WORKER_BACKEND env var, else 'thread'")
-    p.add_argument("--gemm-backend", choices=("auto", "blas", "blocked"),
-                   default=None,
-                   help="GEMM kernel for compiled conv steps: 'blas' "
-                        "(vendor sgemm, per-sample in exact batches), "
-                        "'blocked' (fixed-order kernel; one stacked GEMM "
-                        "per coalesced batch, still bit-exact), or "
-                        "'auto' (per-shape winner from the 'repro tune' "
-                        "cache).  Default: the REPRO_GEMM_BACKEND env "
-                        "var, else 'blas'")
-    p.add_argument("--frontend", choices=("sync", "async"), default="sync",
-                   help="HTTP front-end: 'sync' (thread per connection) "
-                        "or 'async' (single event loop; same /v1 wire "
-                        "contract)")
+                   help="inference worker threads")
     p.add_argument("--tile", type=int, default=96,
                    help="LR tile size fanned across workers")
     p.add_argument("--precision", choices=("fp32", "int8"), default="fp32",
@@ -679,25 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jsonl", default="",
                    help="append one JSON line per op to this file")
     p.set_defaults(fn=cmd_profile)
-
-    p = sub.add_parser(
-        "tune",
-        help="time blas/blocked/direct per conv shape; write the "
-             "per-host cache that --gemm-backend auto consults",
-    )
-    common(p)
-    p.add_argument("--ckpt", default="")
-    p.add_argument("--size", type=int, default=96,
-                   help="LR input height/width to time at (default 96)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="timing repeats per kernel; best-of wins")
-    p.add_argument("--cache", default="",
-                   help="cache file to write (default: "
-                        "$REPRO_TUNING_CACHE, else "
-                        "~/.cache/repro/kernel_tuning.json)")
-    p.add_argument("--no-save", action="store_true",
-                   help="print the timings without writing the cache")
-    p.set_defaults(fn=cmd_tune)
 
     p = sub.add_parser("nas", help="run a small hardware-aware DNAS")
     p.add_argument("--scale", type=int, default=2, choices=(2, 4))

@@ -49,21 +49,13 @@ from .passes import (
     fuse_residual_add,
     make_quantize_pass,
 )
-from .planner import (
-    BufferPlan,
-    KernelChoice,
-    KernelPlan,
-    plan_buffers,
-    plan_kernels,
-)
+from .planner import BufferPlan, plan_buffers
 
 __all__ = [
     "CaptureError",
     "CompiledModel",
     "Graph",
     "IRError",
-    "KernelChoice",
-    "KernelPlan",
     "Node",
     "BufferPlan",
     "PassEntry",
@@ -80,24 +72,19 @@ __all__ = [
     "fuse_residual_add",
     "make_quantize_pass",
     "plan_buffers",
-    "plan_kernels",
     "receptive_radius",
     "sesr_ir",
     "to_layer_specs",
 ]
 
 
-def compile_model(model, *, optimize: bool = True, passes=None,
-                  gemm_backend: str = "blas") -> CompiledModel:
+def compile_model(model, *, optimize: bool = True,
+                  passes=None) -> CompiledModel:
     """Capture, optimise, plan, and wrap ``model`` for execution.
 
     ``optimize=False`` skips the pass pipeline (the unfused graph still
     executes bit-identically — useful for debugging a pass);  ``passes``
-    overrides the default pipeline.  ``gemm_backend``
-    (``blas``/``blocked``/``auto``, see :mod:`repro.kernels`) selects
-    the GEMM kernel each conv step runs as; the selection is recorded on
-    :attr:`CompiledModel.kernel_plan` and can be re-planned later with
-    :meth:`CompiledModel.set_gemm_backend`.  Raises
+    overrides the default pipeline.  Raises
     :class:`~repro.compile.capture.CaptureError` for unsupported models —
     callers with an eager fallback (the serve registry) catch it.
     """
@@ -108,5 +95,4 @@ def compile_model(model, *, optimize: bool = True, passes=None,
         graph, pass_log = PassManager(passes).run(graph)
     return CompiledModel(
         graph, plan_buffers(graph), pass_log=pass_log, source=source,
-        gemm_backend=gemm_backend,
     )

@@ -15,21 +15,8 @@ float operation chain exactly, only redirecting *where* results land:
   one sgemm (``np.matmul(..., out=...)`` — the same BLAS call ``cols @
   wmat`` makes) → broadcast bias add.  Fused epilogues then run in place
   on the conv's output: the identical elementwise maximum/minimum/multiply/
-  add chain the standalone ops perform.
-
-**GEMM backends.**  The sgemm above is the default (``blas``) kernel for
-a conv step.  :meth:`CompiledModel.set_gemm_backend` re-plans every conv
-onto one of the :mod:`repro.kernels` implementations — ``blocked`` (the
-fixed-reduction-order matmul whose m-invariance turns an exact batch
-into ONE stacked GEMM per conv), ``direct`` (tap-loop, no im2col;
-selectable per shape by the ``auto`` backend from the ``repro tune``
-cache) — recording the per-node selection in a
-:class:`~repro.compile.planner.KernelPlan` that ``/v1/stats`` echoes.
-Bit-exactness against the *eager* ops holds on ``blas`` (same BLAS
-calls); every backend independently guarantees the batch/single parity
-contract below.  The profiler tags each GEMM with its kernel
-(``gemm.blas`` / ``gemm.blocked`` / ``gemm.direct``), which is the
-assertion surface for "a coalesced batch ran one stacked GEMM".
+  add chain the standalone ops perform.  The profiler records the sgemm
+  phase as ``gemm.blas`` (inside ``conv2d``, like ``im2col``).
 * depth-to-space is the same reshape/transpose, copied into a contiguous
   view of the destination; fake-quant calls the very
   :meth:`~repro.deploy.quantize.QuantParams.fake_quant` the eager layer
@@ -61,7 +48,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..kernels.blocked import blocked_matmul_t
 from ..nn import Tensor, no_grad
 from ..nn.im2col import extract_patches
 from ..nn.modules import Module
@@ -69,7 +55,7 @@ from ..nn.ops import conv2d_transpose, resolve_padding
 from ..obs import profiler as _profiler
 from ..obs import span
 from .ir import Graph, receptive_radius
-from .planner import BufferPlan, KernelPlan, plan_buffers, plan_kernels
+from .planner import BufferPlan, plan_buffers
 
 
 class CompiledModel(Module):
@@ -81,7 +67,6 @@ class CompiledModel(Module):
         plan: Optional[BufferPlan] = None,
         pass_log: Optional[Sequence] = None,
         source: str = "",
-        gemm_backend: str = "blas",
     ) -> None:
         super().__init__()
         graph.infer_shapes()
@@ -97,9 +82,6 @@ class CompiledModel(Module):
         self._local = threading.local()
         self._lock = threading.Lock()
         self._runs = 0
-        self.gemm_backend = "blas"
-        self.kernel_plan: KernelPlan = plan_kernels(graph, "blas")
-        self.set_gemm_backend(gemm_backend)
         self.eval()
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -113,124 +95,6 @@ class CompiledModel(Module):
         """Completed :meth:`run` calls (all threads)."""
         with self._lock:
             return self._runs
-
-    # ------------------------------------------------------------------ #
-    # pickling (the dataplane's plan/weights handoff to process workers)
-    # ------------------------------------------------------------------ #
-    def __getstate__(self) -> Dict[str, Any]:
-        """Only the graph (weights ride along by reference), plan, and
-        provenance travel; locks, thread-local arenas, prepared steps, and
-        the run counter are rebuilt on load.  The *resolved* kernel
-        selection travels too (node → kernel), so a process worker runs
-        the exact kernels its parent planned — ``auto`` must not re-tune
-        against a different cache mid-request.  A round-tripped model is
-        bit-identical to the original (pinned by
-        ``tests/dataplane/test_pickling.py``)."""
-        return {
-            "graph": self.graph,
-            "plan": self.plan,
-            "pass_log": self.pass_log,
-            "source": self.source,
-            "gemm_backend": self.gemm_backend,
-            "kernels": {
-                c.node: c.kernel for c in self.kernel_plan.choices
-            },
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__init__(
-            state["graph"],
-            plan=state["plan"],
-            pass_log=state["pass_log"],
-            source=state["source"],
-        )
-        backend = state.get("gemm_backend", "blas")
-        pinned = state.get("kernels")
-        if backend != "blas" or pinned:
-            self.set_gemm_backend(backend, pinned=pinned)
-
-    # ------------------------------------------------------------------ #
-    # kernel selection (see repro.kernels and docs/kernels.md)
-    # ------------------------------------------------------------------ #
-    def set_gemm_backend(
-        self,
-        backend: str,
-        tuning: Optional[Dict[str, Dict[str, Any]]] = None,
-        pinned: Optional[Dict[str, str]] = None,
-    ) -> "CompiledModel":
-        """Re-plan every conv step onto a GEMM kernel; returns ``self``.
-
-        ``backend`` is ``blas``/``blocked`` (forced everywhere) or
-        ``auto`` (per-shape winner from ``tuning`` — loaded from the
-        per-host cache when not given; uncovered shapes degrade to
-        ``blas``).  ``pinned`` (node → kernel) overrides everything and
-        is how the dataplane replays a parent's exact selection.  Call
-        before serving traffic: the engine does so at construction, and
-        registry-shared models should not be re-planned concurrently
-        with in-flight runs.
-        """
-        if backend not in ("auto", "blas", "blocked"):
-            raise ValueError(
-                f"gemm backend must be one of ('auto', 'blas', "
-                f"'blocked'), got {backend!r}"
-            )
-        if pinned is None and backend == "auto" and tuning is None:
-            from ..kernels.tune import load_cache
-
-            tuning = load_cache()
-        plan = plan_kernels(
-            self.graph, backend, tuning=tuning, pinned=pinned
-        )
-        with self._lock:
-            self.gemm_backend = backend
-            self.kernel_plan = plan
-            for step in self._steps:
-                if step["op"] != "conv":
-                    continue
-                kern = plan.kernel_of(step["name"])
-                step["kern"] = kern
-                step["wmats_t"] = None
-                step["wtaps"] = None
-                wmats = step["wmats"]
-                if wmats is None:
-                    continue  # int8: derived forms built per call
-                if kern == "blocked":
-                    step["wmats_t"] = [
-                        np.ascontiguousarray(w.T) for w in wmats
-                    ]
-                elif kern == "direct":
-                    step["wtaps"] = [
-                        self._tap_weights(w, step["kernel"]) for w in wmats
-                    ]
-        return self
-
-    @staticmethod
-    def _tap_weights(wmat: np.ndarray, kernel) -> List[np.ndarray]:
-        """Per-tap ``(gc_in, gc_out)`` weights for the direct kernel,
-        row-major tap order (the fixed accumulation order)."""
-        kh, kw = kernel
-        k, gc_out = wmat.shape
-        gc_in = k // (kh * kw)
-        w4 = wmat.reshape(kh, kw, gc_in, gc_out)
-        return [
-            np.ascontiguousarray(w4[i, j])
-            for i in range(kh) for j in range(kw)
-        ]
-
-    def conv_shapes(self) -> List[tuple]:
-        """Distinct ``(kh, kw, cin, cout, groups)`` conv shapes of the
-        plan — what the kernel autotuner measures."""
-        out: List[tuple] = []
-        seen = set()
-        for step in self._steps:
-            if step["op"] != "conv":
-                continue
-            kh, kw = step["kernel"]
-            row = (kh, kw, step["cin"], step["cout"], step["groups"])
-            if row not in seen:
-                seen.add(row)
-                out.append(row)
-        return out
 
     # ------------------------------------------------------------------ #
     # step preparation (once per model)
@@ -387,7 +251,6 @@ class CompiledModel(Module):
                 "cols": np.empty(layout["cols"], dtype=np.float32),
                 "tmp": np.empty(layout["tmp"], dtype=np.float32),
                 "pads": {},  # zero-bordered pad scratch, keyed by shape
-                "taps": {},  # direct-kernel tap product scratch, by size
                 "consts": consts,
             }
             arenas[(n, h, w)] = arena
@@ -429,13 +292,7 @@ class CompiledModel(Module):
         buffer — each sample sees the very ``(h·w, k) @ (k, c)`` call the
         singleton path makes.  This is what lets the serving engine's
         cross-request batch coalescing stay byte-identical to unbatched
-        serving (see ``repro.serve.scheduler``).
-
-        With the ``blocked`` GEMM backend the per-sample loop is
-        unnecessary: the blocked kernel's reduction order is m-invariant
-        (:mod:`repro.kernels`), so exact mode issues ONE stacked GEMM
-        per conv and each sample's bits still match its singleton run —
-        both paths satisfy the same parity contract, pinned by
+        serving (see ``repro.serve.scheduler``); pinned by
         ``tests/compile/test_exact_batch.py``.
         """
         x = np.asarray(x)
@@ -552,44 +409,6 @@ class CompiledModel(Module):
             if prof is not None:
                 prof.record("gemm.blas", time.perf_counter() - t0)
 
-    def _conv_direct(self, xg, wtaps, out2d, arena, kernel, n: int,
-                     h: int, w: int, gc_in: int, gc_out: int,
-                     exact: bool, prof=None) -> None:
-        """Tap-loop conv: one ``(rows, gc_in)`` GEMM per kernel tap,
-        accumulated in fixed row-major tap order — no im2col.
-
-        Per-sample in exact mode so each tap GEMM's row count matches
-        the singleton call's (the batch/single parity contract); the
-        tap *accumulation* order is fixed by construction.
-        """
-        kh, kw = kernel
-        rows = h * w
-        need = n * rows * gc_out
-        tapbuf = arena["taps"].get(need)
-        if tapbuf is None:
-            tapbuf = np.empty(need, dtype=np.float32)
-            arena["taps"][need] = tapbuf
-        ranges = (
-            [(i, i + 1) for i in range(n)] if exact and n > 1
-            else [(0, n)]
-        )
-        for s0, s1 in ranges:
-            r = (s1 - s0) * rows
-            o2d = out2d[s0 * rows:s1 * rows]
-            if prof is not None:
-                t0 = time.perf_counter()
-            for idx in range(kh * kw):
-                i, j = divmod(idx, kw)
-                xs = xg[s0:s1, i:i + h, j:j + w, :].reshape(r, gc_in)
-                if idx == 0:
-                    np.matmul(xs, wtaps[0], out=o2d)
-                else:
-                    t = tapbuf[:r * gc_out].reshape(r, gc_out)
-                    np.matmul(xs, wtaps[idx], out=t)
-                    np.add(o2d, t, out=o2d)
-            if prof is not None:
-                prof.record("gemm.direct", time.perf_counter() - t0)
-
     def _exec_conv(self, step, values, arena, exact: bool = False) -> None:
         src = values[step["srcs"][0]]
         n, h, w, cin = src.shape
@@ -611,18 +430,12 @@ class CompiledModel(Module):
         groups, cout = step["groups"], step["cout"]
         gc_in, gc_out = cin // groups, cout // groups
         m, k = n * h * w, kh * kw * gc_in
-        kern = step.get("kern", "blas")
         wmats = step["wmats"]
-        wmats_t, wtaps = step.get("wmats_t"), step.get("wtaps")
         if wmats is None:
             # Unfolded int8 conv: dequantized per call (fold_constants
-            # removes this), so derived kernel forms are per call too.
+            # removes this).
             wfull = step["weight_params"].dequantize(step["weight_q"])
             wmats = [wfull.reshape(k, cout)]
-            if kern == "blocked":
-                wmats_t = [np.ascontiguousarray(wmats[0].T)]
-            elif kern == "direct":
-                wtaps = [self._tap_weights(wmats[0], (kh, kw))]
         bias = step["bias"]
         colsbuf, prof = arena["cols"], _profiler.ACTIVE
         for g in range(groups):
@@ -633,34 +446,16 @@ class CompiledModel(Module):
                 out2d = dst.reshape(m, cout)
             else:
                 out2d = arena["tmp"][:m * gc_out].reshape(m, gc_out)
-            if kern == "direct":
-                self._conv_direct(
-                    xg, wtaps[g], out2d, arena, (kh, kw),
-                    n, h, w, gc_in, gc_out, exact, prof,
-                )
-            else:
-                patches = extract_patches(xg, (kh, kw), (1, 1))
-                np.copyto(
-                    colsbuf[:m * k].reshape(n, h, w, kh, kw, gc_in), patches
-                )
-                cols = colsbuf[:m * k].reshape(m, k)
-                if prof is not None:
-                    prof.record("im2col", time.perf_counter() - t0)
-                if kern == "blocked":
-                    # ONE stacked GEMM regardless of batch size: the
-                    # blocked kernel's reduction order is m-invariant,
-                    # so per-sample bits match the singleton call's.
-                    if prof is not None:
-                        tg = time.perf_counter()
-                    blocked_matmul_t(cols, wmats_t[g], out=out2d)
-                    if prof is not None:
-                        prof.record(
-                            "gemm.blocked", time.perf_counter() - tg
-                        )
-                else:
-                    self._matmul_rows(
-                        cols, wmats[g], out2d, n, h * w, exact, prof
-                    )
+            patches = extract_patches(xg, (kh, kw), (1, 1))
+            np.copyto(
+                colsbuf[:m * k].reshape(n, h, w, kh, kw, gc_in), patches
+            )
+            cols = colsbuf[:m * k].reshape(m, k)
+            if prof is not None:
+                prof.record("im2col", time.perf_counter() - t0)
+            self._matmul_rows(
+                cols, wmats[g], out2d, n, h * w, exact, prof
+            )
             if bias is not None:
                 b = bias if groups == 1 else bias[g * gc_out:(g + 1) * gc_out]
                 np.add(out2d, b, out=out2d)

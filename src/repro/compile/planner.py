@@ -24,22 +24,13 @@ better); tests pin ``planned < naive`` strictly for every zoo variant and
 Graph inputs and consts are external (caller-owned); output nodes are
 excluded too — the executor returns freshly allocated arrays, never arena
 views (a view would be silently overwritten by the next request).
-
-Alongside the buffer plan the module also plans **kernels**:
-:func:`plan_kernels` resolves every conv node of a graph to the GEMM
-implementation it will run as (``blas`` / ``blocked`` / ``direct``, see
-:mod:`repro.kernels`) for a given ``gemm_backend``, consulting the
-per-host tuning cache in ``auto`` mode.  The resulting
-:class:`KernelPlan` rides on the compiled model, is echoed by
-``/v1/stats``, and is what the executor's per-step dispatch reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..kernels.tune import select_kernel, shape_key
 from .ir import Graph
 
 
@@ -145,81 +136,3 @@ def plan_buffers(graph: Graph) -> BufferPlan:
         external=tuple(external),
     )
 
-
-# --------------------------------------------------------------------- #
-# kernel planning
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class KernelChoice:
-    """One conv node resolved to the GEMM kernel it runs as.
-
-    ``source`` records *why*: ``forced`` (backend is blas/blocked),
-    ``tuned`` (auto + a tuning-cache row), ``default`` (auto with no row
-    — degrades to blas), or ``pinned`` (an explicit per-node choice, the
-    dataplane's pickle handoff).
-    """
-
-    node: str
-    shape: str      # repro.kernels.tune.shape_key of the conv
-    kernel: str     # "blas" | "blocked" | "direct"
-    source: str     # "forced" | "tuned" | "default" | "pinned"
-
-    def to_dict(self) -> Dict[str, str]:
-        return {
-            "node": self.node,
-            "shape": self.shape,
-            "kernel": self.kernel,
-            "source": self.source,
-        }
-
-
-@dataclass(frozen=True)
-class KernelPlan:
-    """Per-conv kernel selection for one compiled graph."""
-
-    backend: str                       # the gemm_backend that produced it
-    choices: Tuple[KernelChoice, ...]  # one per conv node, graph order
-
-    def kernel_of(self, node: str) -> str:
-        for c in self.choices:
-            if c.node == node:
-                return c.kernel
-        return "blas"
-
-    def stats(self) -> Dict[str, Any]:
-        """JSON view for ``/v1/stats`` and the dataplane handoff."""
-        return {
-            "backend": self.backend,
-            "choices": [c.to_dict() for c in self.choices],
-        }
-
-
-def plan_kernels(
-    graph: Graph,
-    backend: str = "blas",
-    tuning: Optional[Dict[str, Dict[str, Any]]] = None,
-    pinned: Optional[Dict[str, str]] = None,
-) -> KernelPlan:
-    """Resolve every conv node of ``graph`` to a GEMM kernel.
-
-    ``tuning`` is the loaded per-host cache
-    (:func:`repro.kernels.load_cache`); only consulted when ``backend``
-    is ``auto``.  ``pinned`` maps node name → kernel and overrides
-    everything — it is how a process worker replays the exact selection
-    its parent resolved, so both sides compute identical bits.
-    """
-    choices: List[KernelChoice] = []
-    for name, node in graph.nodes.items():
-        if node.op != "conv":
-            continue
-        kh, kw = node.kernel()
-        key = shape_key(
-            kh, kw, int(node.attrs["cin"]), int(node.attrs["cout"]),
-            int(node.attrs.get("groups", 1)),
-        )
-        if pinned is not None and name in pinned:
-            kernel, source = pinned[name], "pinned"
-        else:
-            kernel, source = select_kernel(backend, key, tuning)
-        choices.append(KernelChoice(name, key, kernel, source))
-    return KernelPlan(backend=backend, choices=tuple(choices))

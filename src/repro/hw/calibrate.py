@@ -88,7 +88,7 @@ def residuals(npu: NPUSpec) -> Dict[str, Tuple[float, float]]:
 def fit_spec(base: NPUSpec = NPUSpec()) -> NPUSpec:
     """Fit (bandwidth, SRAM, compression) to the Table 3 anchors."""
     # Imported here: scipy.optimize costs ~0.5 s, and `import repro` (every
-    # server and process worker start) reaches this module.
+    # server start) reaches this module.
     from scipy.optimize import least_squares
 
     rows = anchor_rows()

@@ -10,11 +10,9 @@ idiom the project guides call for.  ``extract_patches`` is a zero-copy view
 built with ``numpy.lib.stride_tricks.as_strided``; ``fold_patches`` is its
 adjoint (scatter-add), used by the convolution backward pass.
 
-The compiled executor and the kernel autotuner
-(:func:`repro.kernels.time_conv_kernels`) reuse ``extract_patches`` for
-their im2col phase, feeding the patch matrix to either the vendor sgemm
-or the deterministic blocked kernel (:mod:`repro.kernels.blocked`) — the
-patch layout here is the one both GEMM backends contract over.
+The compiled executor reuses ``extract_patches`` for its im2col phase
+and feeds the patch matrix to the same BLAS sgemm, so the patch layout
+here is the one both paths contract over.
 """
 
 from __future__ import annotations

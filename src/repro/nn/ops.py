@@ -88,11 +88,10 @@ def conv2d(
     -----
     The forward is im2col + one ``np.matmul`` (BLAS sgemm).  This is the
     *training-time* path; the inference executor
-    (:mod:`repro.compile.executor`) runs the same contraction through a
-    selectable kernel — ``blas``, the deterministic m-invariant
-    ``blocked`` kernel, or tap-loop ``direct`` (:mod:`repro.kernels`) —
-    because BLAS output bits depend on the GEMM row count, which matters
-    once the serving engine stacks samples (``docs/kernels.md``).
+    (:mod:`repro.compile.executor`) runs the same im2col + sgemm in
+    planned buffers.  BLAS output bits depend on the GEMM row count, so
+    once the serving engine stacks samples the executor issues one sgemm
+    per sample (``docs/compiler.md``).
     """
     x, w = as_tensor(x), as_tensor(w)
     if groups > 1:

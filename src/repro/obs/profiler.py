@@ -31,14 +31,12 @@ Op naming convention
     weight composition, attention-style heads, ...).  The GEMM inside
     ``conv2d`` is *not* double-reported here; its MACs belong to
     ``conv2d``, which makes :meth:`Profiler.total_macs` additive.
-``gemm.blas`` / ``gemm.blocked`` / ``gemm.direct``
-    The GEMM phase *inside* a compiled conv step, tagged with the kernel
-    that ran it (see :mod:`repro.kernels`).  Wall-clock only, contained
-    in ``conv2d`` like ``im2col``.  The **call counts** are the kernel
-    dispatch ledger: a coalesced exact batch of N samples records N
-    ``gemm.blas`` calls per conv (per-sample sgemm) but exactly one
-    ``gemm.blocked`` call per conv (the stacked GEMM) — which is how
-    the single-stacked-GEMM claim is asserted, not just believed.
+``gemm.blas``
+    The sgemm phase *inside* a compiled conv step.  Wall-clock only,
+    contained in ``conv2d`` like ``im2col``.  The **call count** is the
+    GEMM dispatch ledger: a coalesced exact batch of N samples records N
+    ``gemm.blas`` calls per conv (one sgemm per sample, see
+    :meth:`repro.compile.CompiledModel.run`).
 ``conv2d_bwd``
     The convolution backward pass (weight + input gradients), recorded
     only when a profiler is active while autograd runs.
@@ -98,9 +96,7 @@ class Profiler:
 
     #: Phase ops whose wall-clock is already contained in a parent op;
     #: excluded from additive totals.
-    NESTED = frozenset(
-        {"im2col", "gemm.blas", "gemm.blocked", "gemm.direct"}
-    )
+    NESTED = frozenset({"im2col", "gemm.blas"})
 
     def __init__(self) -> None:
         self._stats: Dict[str, OpStats] = {}

@@ -111,23 +111,6 @@ class Span:
             "attrs": dict(self.attrs),
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Span":
-        """Rebuild a span from :meth:`to_dict` output (the wire form the
-        dataplane's process workers ship finished spans back in)."""
-        return cls(
-            name=str(data["name"]),
-            trace_id=str(data["trace_id"]),
-            span_id=str(data["span_id"]),
-            parent_id=(None if data.get("parent_id") is None
-                       else str(data["parent_id"])),
-            start_ms=float(data.get("start_ms", 0.0)),
-            duration_ms=float(data.get("duration_ms", 0.0)),
-            wall_time=float(data.get("wall_time", 0.0)),
-            status=str(data.get("status", "ok")),
-            attrs=dict(data.get("attrs", {})),  # type: ignore[arg-type]
-        )
-
 
 class RingBufferExporter:
     """Keeps the last ``capacity`` finished spans in memory.
@@ -329,22 +312,6 @@ class Tracer:
             agg[2] += 0 if sp.status == "ok" else 1
         for exporter in self._exporters:
             exporter.export(sp)
-
-    def ingest(self, sp: Span) -> None:
-        """Adopt a span finished elsewhere (another process) as if it had
-        been opened on this tracer: it lands in the ring, every exporter,
-        and the per-name aggregates.
-
-        This is how the dataplane keeps ``serve.request`` → tile →
-        ``compile.execute`` trees intact across process workers: the
-        worker runs its compute spans under the request's
-        :class:`SpanContext` (carried in the job envelope), ships them
-        back in the reply, and the engine ingests them here — ``/metrics``
-        and :func:`span_tree` then see one tree, exactly as with thread
-        workers.  Note ``start_ms`` stays in the *producing* process's
-        monotonic clock; only durations are cross-process comparable.
-        """
-        self._export(sp)
 
     # ------------------------------------------------------------------ #
     def aggregates(self) -> Dict[str, Dict[str, float]]:

@@ -21,40 +21,12 @@ explicit keyword arguments on the engine; the config carries only values.
 from __future__ import annotations
 
 import dataclasses
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from ..resilience import RetryPolicy
 
 __all__ = ["EngineConfig"]
-
-#: worker execution backends an engine can run tiles on.
-WORKER_BACKENDS = ("thread", "process")
-
-#: GEMM backends the compiled executor can run conv steps on.
-GEMM_BACKENDS = ("auto", "blas", "blocked")
-
-
-def _default_backend() -> str:
-    """Library default is ``thread``; ``REPRO_WORKER_BACKEND`` overrides.
-
-    The env var exists so an *unmodified* test suite can be replayed
-    against the process data plane (CI runs the chaos suite both ways).
-    An unknown value fails at construction like any other bad config.
-    """
-    return os.environ.get("REPRO_WORKER_BACKEND", "thread")
-
-
-def _default_gemm_backend() -> str:
-    """Library default is ``blas``; ``REPRO_GEMM_BACKEND`` overrides.
-
-    The env var exists for the same replay reason as
-    ``REPRO_WORKER_BACKEND``: CI runs the batching bench under both
-    ``blas`` and ``blocked`` without modifying the suite.
-    """
-    return os.environ.get("REPRO_GEMM_BACKEND", "blas")
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -103,31 +75,6 @@ class EngineConfig:
     compiled:
         Run the registry's compiled plan (bit-identical, fused, planned
         buffers); ``False`` is the ``--no-compile`` escape hatch.
-    worker_backend:
-        Where tile compute runs.  ``"thread"`` (default) keeps everything
-        in-process; ``"process"`` proxies compute to a supervised
-        :class:`~repro.dataplane.ProcessWorkerPool` of spawned workers
-        over shared-memory tile arenas — same scheduler, same retries,
-        same bit-exact outputs, but NumPy escapes the GIL.  The default
-        honours the ``REPRO_WORKER_BACKEND`` environment variable so an
-        unmodified suite can run against either backend.  Process
-        workers rebuild the model from a pickled plan/weights handoff,
-        so the model (compiled or eager) must pickle — the zoo's do.
-    gemm_backend:
-        Which GEMM kernel the compiled executor runs conv steps on (see
-        :mod:`repro.kernels` and ``docs/kernels.md``).  ``"blas"`` (the
-        default) is the vendor sgemm — fastest arithmetic, but a
-        coalesced cross-request batch must issue the GEMM once *per
-        sample* to stay bit-exact.  ``"blocked"`` is the
-        fixed-reduction-order blocked matmul: m-invariant, so a
-        coalesced batch is ONE stacked GEMM per conv and still
-        bit-identical to single-sample serving.  ``"auto"`` picks the
-        measured winner per conv shape from the ``repro tune`` cache
-        (missing shapes degrade to ``blas``).  The default honours
-        ``REPRO_GEMM_BACKEND``.  Engines sharing one registry-cached
-        compiled model apply the backend at construction — concurrent
-        engines over the same key should agree on it.  Ignored on the
-        eager (non-compiled) fallback path.
     """
 
     workers: int = 4
@@ -147,8 +94,6 @@ class EngineConfig:
     supervise_interval: float = 0.2
     wedge_timeout: Optional[float] = None
     compiled: bool = True
-    worker_backend: str = field(default_factory=_default_backend)
-    gemm_backend: str = field(default_factory=_default_gemm_backend)
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -185,16 +130,6 @@ class EngineConfig:
             raise ValueError("supervise_interval must be positive")
         if self.wedge_timeout is not None and self.wedge_timeout <= 0:
             raise ValueError("wedge_timeout must be positive when set")
-        if self.worker_backend not in WORKER_BACKENDS:
-            raise ValueError(
-                f"worker_backend must be one of {WORKER_BACKENDS}, "
-                f"got {self.worker_backend!r}"
-            )
-        if self.gemm_backend not in GEMM_BACKENDS:
-            raise ValueError(
-                f"gemm_backend must be one of {GEMM_BACKENDS}, "
-                f"got {self.gemm_backend!r}"
-            )
 
     # ------------------------------------------------------------------ #
     def replace(self, **changes) -> "EngineConfig":
@@ -219,11 +154,9 @@ class EngineConfig:
         wedge = ("-" if self.wedge_timeout is None
                  else f"{self.wedge_timeout:g}s")
         return "\n".join([
-            f"  workers {self.workers} ({self.worker_backend}), "
-            f"tile {th}x{tw}, halo "
+            f"  workers {self.workers}, tile {th}x{tw}, halo "
             f"{'auto' if self.halo is None else self.halo}, "
-            f"compiled {'on' if self.compiled else 'off'}, "
-            f"gemm {self.gemm_backend}",
+            f"compiled {'on' if self.compiled else 'off'}",
             f"  batching: cross-request {batching}; "
             f"microbatch {'on' if self.microbatch else 'off'}",
             f"  admission: {self.max_pending} slots, timeout "

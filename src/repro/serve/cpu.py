@@ -147,14 +147,6 @@ class BlasPool:
             self._workers -= workers
             self._resize()
 
-    def set_threads(self, threads: int) -> None:
-        """Fix the pool at ``threads``: for a worker process that owns one
-        share of the cores and registers no engine."""
-        with self._lock:
-            lib = self._library()
-            if lib is not None:
-                lib.set(threads)
-
     def threads(self) -> Optional[int]:
         """The pool size read back from the library (``None``: no BLAS)."""
         with self._lock:

@@ -16,9 +16,6 @@ Configuration is one frozen :class:`~repro.serve.EngineConfig` value —
 ``InferenceEngine(registry, key, config=EngineConfig(...))`` is the
 *only* constructor signature (the historical kwarg-soup shim warned for
 two releases and is gone; stray keywords now raise :class:`TypeError`).
-``config.gemm_backend`` is applied to the compiled model at construction
-(:meth:`repro.compile.CompiledModel.set_gemm_backend`), and the resolved
-per-conv kernel selection is echoed under ``stats()["kernels"]``.
 
 Execution modes per tile job:
 
@@ -278,10 +275,6 @@ class InferenceEngine:
             try:
                 self.model = registry.get_compiled(key)
                 self.compiled = True
-                # The registry shares one CompiledModel per key across
-                # engines, so the backend applied last wins — concurrent
-                # engines over one key should agree (see EngineConfig).
-                self.model.set_gemm_backend(config.gemm_backend)
             except CaptureError:
                 self.model = registry.get(key)
                 self.compile_fallback = True
@@ -330,26 +323,8 @@ class InferenceEngine:
         self._retired: set = set()
         self.supervise_interval = config.supervise_interval
         self.wedge_timeout = config.wedge_timeout
-        # Process data plane: dispatcher threads keep the whole control
-        # plane (scheduling, retries, chaos hooks, spans, stitching) and
-        # proxy only the stacked forward pass to spawned workers over
-        # shared-memory arenas.  Imported lazily — repro.dataplane imports
-        # back into this module.
-        self._pool = None
-        if config.worker_backend == "process":
-            from ..dataplane.pool import ProcessWorkerPool
-
-            self._pool = ProcessWorkerPool(
-                self.model,
-                workers=config.workers,
-                tile=self.tile,
-                halo=self.halo,
-                scale=self.scale,
-                max_batch=config.max_batch,
-            )
         # Registered once construction can no longer fail, so a raising
         # constructor leaves no workers counted against the BLAS pool.
-        # Process workers count too: they compute on the same cores.
         self._blas_pool = _cpu.POOL
         self._blas_pool.register(config.workers)
         self._workers = [self._spawn_worker() for _ in range(config.workers)]
@@ -626,7 +601,7 @@ class InferenceEngine:
                 j.request.lr[t.hy0:t.hy1, t.hx0:t.hx1]
                 for j, t in zip(jobs, specs)
             ])[..., None]
-            outs = self._predict_stack(patches, exact=True)
+            outs = predict_batch_exact(self.model, patches)
             for j, t, sr in zip(jobs, specs, outs):
                 cy0, cx0 = (t.y0 - t.hy0) * s, (t.x0 - t.hx0) * s
                 cy1 = cy0 + (t.y1 - t.y0) * s
@@ -666,27 +641,6 @@ class InferenceEngine:
                         u = self._retry_rng.random()
                     time.sleep(self.retry.backoff(attempt, u))
 
-    def _predict_stack(self, patches: np.ndarray, exact: bool) -> np.ndarray:
-        """Run an ``(N, h, w, 1)`` tile stack on the configured backend.
-
-        Thread backend: the in-process forward pass.  Process backend:
-        ship the stack through the shared-memory pool — same predict
-        functions worker-side, so the result is bit-identical either
-        way.  A :class:`~repro.dataplane.ProcessWorkerDied` escapes as an
-        ordinary exception, which the callers' retry/fallback machinery
-        absorbs exactly like any transient tile fault.
-        """
-        if self._pool is not None:
-            sp = _trace.current_span()
-            return self._pool.submit(
-                patches,
-                mode="exact" if exact else "stack",
-                ctx=None if sp is None else sp.context,
-            )
-        if exact:
-            return predict_batch_exact(self.model, patches)
-        return predict_batch(self.model, patches)
-
     def _compute(self, request: _Request, specs: List[TileSpec]) -> None:
         lr, s = request.lr, self.scale
         if len(specs) > 1:
@@ -694,7 +648,7 @@ class InferenceEngine:
                 patches = np.stack(
                     [lr[t.hy0 : t.hy1, t.hx0 : t.hx1] for t in specs]
                 )[..., None]
-                outs = self._predict_stack(patches, exact=False)
+                outs = predict_batch(self.model, patches)
             self.telemetry.counter("engine.microbatches").inc()
         else:
             t = specs[0]
@@ -703,15 +657,7 @@ class InferenceEngine:
                 h=t.y1 - t.y0, w=t.x1 - t.x0,
             ):
                 patch = lr[t.hy0 : t.hy1, t.hx0 : t.hx1]
-                if self._pool is not None:
-                    # predict_batch_exact on a 1-stack is bit-identical
-                    # to predict_image on the tile (the parity contract),
-                    # so both backends stitch the same pixels.
-                    outs = self._predict_stack(
-                        patch[None, ..., None], exact=True
-                    )
-                else:
-                    outs = [predict_image(self.model, patch)]
+                outs = [predict_image(self.model, patch)]
         self.telemetry.counter("engine.tiles").inc(len(specs))
         with _trace.span("serve.stitch", tiles=len(specs)):
             for t, sr in zip(specs, outs):
@@ -726,22 +672,11 @@ class InferenceEngine:
     # supervision
     # ------------------------------------------------------------------ #
     def _supervisor_loop(self) -> None:
-        """Heartbeat loop: respawn dead workers, retire wedged ones.
-
-        With the process backend the same heartbeat also sweeps the
-        process pool for workers that died *idle* (mid-job deaths are
-        handled inline by the dispatcher that was waiting on them).
-        """
+        """Heartbeat loop: respawn dead workers, retire wedged ones."""
         while not self._closed:
             time.sleep(self.supervise_interval)
             if self._closed:
                 return
-            if self._pool is not None:
-                replaced = self._pool.supervise()
-                if replaced:
-                    self.telemetry.counter(
-                        "engine.process_worker_respawns"
-                    ).inc(replaced)
             now = time.monotonic()
             with self._workers_lock:
                 if self._closed:
@@ -792,11 +727,6 @@ class InferenceEngine:
             workers = list(self._workers)
         for t in workers:
             t.join(timeout=30.0)
-        if self._pool is not None:
-            # After the dispatcher threads are gone nothing submits to the
-            # pool: reap every worker process and unlink the shared-memory
-            # arena so a drained engine leaves no /dev/shm residue.
-            self._pool.shutdown()
         self._blas_pool.unregister(self.config.workers)
 
     @property
@@ -834,14 +764,6 @@ class InferenceEngine:
         snap["registry"] = self.registry.stats()
         snap["breaker"] = self.breaker.snapshot()
         snap["batching"] = self._batching_stats()
-        # The resolved per-conv kernel selection (repro.kernels): backend
-        # plus one {node, shape, kernel, source} row per conv.  getattr —
-        # tests swap self.model for duck-typed doubles.
-        kernel_plan = getattr(self.model, "kernel_plan", None)
-        if self.compiled and kernel_plan is not None:
-            snap["kernels"] = kernel_plan.stats()
-        if self._pool is not None:
-            snap["dataplane"] = self._pool.stats()
         if self.fault_injector is not None:
             snap["fault_injector"] = self.fault_injector.stats()
         config = self.config.to_dict()

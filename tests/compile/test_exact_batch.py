@@ -64,31 +64,6 @@ def test_exact_batch_matches_predict_image():
         assert np.array_equal(out[i], predict_image(compiled, tiles[i]))
 
 
-@pytest.mark.parametrize("label,model", _models(),
-                         ids=[m[0] for m in _models()])
-def test_blocked_backend_is_exact_with_one_stacked_gemm(label, model):
-    """The tentpole contract: with ``gemm_backend="blocked"`` an exact
-    batch is ONE stacked GEMM per conv (not one per sample) and every
-    sample still matches its own singleton run bitwise."""
-    compiled = compile_model(model, gemm_backend="blocked")
-    rng = np.random.default_rng(0)
-    batch = rng.random((5, 21, 19, 1)).astype(np.float32)
-    with profile() as prof:
-        out = compiled.run(batch, exact_batch=True)
-    ops = prof.stats()
-    convs = ops["gemm.blocked"].calls
-    assert convs > 0
-    assert "gemm.blas" not in ops  # the whole plan runs blocked
-    # One stacked GEMM per conv for the 5-sample batch: a second profiled
-    # singleton run must record exactly the same number of GEMM calls.
-    with profile() as prof:
-        compiled.run(batch[:1], exact_batch=True)
-    assert prof.stats()["gemm.blocked"].calls == convs, label
-    for i in range(batch.shape[0]):
-        single = compiled.run(batch[i:i + 1])
-        assert np.array_equal(out[i], single[0]), f"{label} sample {i}"
-
-
 def test_blas_exact_mode_pays_one_gemm_per_sample():
     """Documents the cost the blocked kernel removes: exact mode under
     blas multiplies GEMM count by the batch size."""
@@ -101,21 +76,6 @@ def test_blas_exact_mode_pays_one_gemm_per_sample():
     with profile() as prof:
         compiled.run(batch, exact_batch=True)
     assert prof.stats()["gemm.blas"].calls == 4 * per_sample
-
-
-def test_backend_switch_round_trips_bitwise():
-    """blas → blocked → blas returns the original bits (re-planning is
-    stateless; the blocked weights transpose is not destructive)."""
-    compiled = compile_model(SESR.from_name("M3", scale=2).collapse())
-    rng = np.random.default_rng(5)
-    x = rng.random((1, 18, 18, 1)).astype(np.float32)
-    before = compiled.run(x)
-    compiled.set_gemm_backend("blocked")
-    blocked = compiled.run(x)
-    compiled.set_gemm_backend("blas")
-    assert np.array_equal(compiled.run(x), before)
-    # blocked differs from blas only by float rounding, never by math.
-    assert np.allclose(blocked, before, atol=1e-5)
 
 
 def test_stacked_matmul_would_not_be_exact():

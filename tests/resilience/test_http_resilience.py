@@ -1,8 +1,13 @@
 """HTTP-layer resilience: body-size limits, degraded headers, signal hooks."""
 
+import http.client
 import json
+import os
 import signal
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -71,6 +76,22 @@ class TestBodySizeLimit:
         detail = json.load(err.value)
         assert detail["error"]["code"] == "payload_too_large"
         assert "exceeds" in detail["error"]["message"]
+
+    def test_lying_content_length_is_413_before_the_body(self, server):
+        # The header promises 1 GB but only 12 bytes follow: a server that
+        # read before checking would block here until the client timeout.
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.putrequest("POST", "/v1/upscale")
+            conn.putheader("Content-Length", str(10 ** 9))
+            conn.endheaders(b"P5 1 1 255 \x00")
+            resp = conn.getresponse()
+            assert resp.status == 413
+            detail = json.loads(resp.read())
+        finally:
+            conn.close()
+        assert detail["error"]["code"] == "payload_too_large"
 
     def test_server_still_healthy_after_rejections(self, server):
         # The unread oversized body must not wedge or corrupt the listener.
@@ -166,3 +187,42 @@ class TestShutdownHandlers:
         t.start()
         t.join(timeout=10)
         assert errors == []
+
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__)))),
+    "src",
+)
+
+
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT],
+                         ids=["sigterm", "sigint"])
+def test_serve_process_drains_and_exits_zero_on_signal(sig):
+    """The real ``repro serve`` CLI: handlers installed, banner printed,
+    then a supervisor's SIGTERM or a Ctrl-C drains and exits 0."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--model", "M3",
+         "--port", "0", "--workers", "1", "--tile", "32"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    try:
+        lines = []
+        deadline = time.monotonic() + 120
+        while time.monotonic() < deadline:
+            line = proc.stdout.readline()
+            if not line:
+                break
+            lines.append(line)
+            if line.startswith("endpoints:"):
+                break
+        assert lines and lines[-1].startswith("endpoints:"), lines
+        proc.send_signal(sig)
+        assert proc.wait(timeout=60) == 0
+        assert "shutting down" in proc.stdout.read()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        proc.stdout.close()

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.datasets import decode_netpbm, encode_netpbm
-from repro.obs.profiler import profile
 from repro.serve import (
     EngineConfig,
     InferenceEngine,
@@ -141,64 +140,6 @@ class TestCoalescing:
             engine.shutdown()
         assert b["coalesced_batches"] == 0
         assert b["mean_batch_size"] == 1.0
-
-
-class TestBlockedBackend:
-    """Tentpole: ``gemm_backend="blocked"`` turns a coalesced batch into
-    ONE stacked GEMM per conv — and stays bit-identical to window-0
-    single-sample serving on the same backend."""
-
-    def test_coalesced_blocked_matches_window_zero_singles(self, registry):
-        images = _images(12, (24, 24), seed=7)
-        blocked = BATCHED.replace(gemm_backend="blocked")
-        ref_engine = InferenceEngine(
-            registry, KEY, config=blocked.replace(batch_window_ms=0.0)
-        )
-        try:
-            want = [ref_engine.upscale(img) for img in images]
-        finally:
-            ref_engine.shutdown()
-
-        engine = InferenceEngine(registry, KEY, config=blocked)
-        try:
-            # Calibrate GEMMs-per-forward-pass on the engine's own model.
-            with profile() as cal:
-                engine.model.run(
-                    np.zeros((1, 8, 8, 1), dtype=np.float32)
-                )
-            n_convs = cal.stats()["gemm.blocked"].calls
-            with profile() as prof:
-                got = _concurrent_upscale(engine, images)
-            stats = engine.stats()
-        finally:
-            engine.shutdown()
-
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)  # bitwise, not allclose
-        assert stats["batching"]["coalesced_batches"] >= 1
-        assert stats["batching"]["batch_fallbacks"] == 0
-        # One stacked GEMM per conv per dispatch — never per sample: the
-        # GEMM count scales with forward passes, not with requests.
-        ops = prof.stats()
-        assert "gemm.blas" not in ops
-        dispatches = stats["counters"]["engine.batches"]
-        assert dispatches < len(images)  # coalescing really merged work
-        assert ops["gemm.blocked"].calls == n_convs * dispatches
-
-    def test_stats_expose_the_kernel_plan(self, registry):
-        engine = InferenceEngine(
-            registry, KEY, config=BATCHED.replace(gemm_backend="blocked")
-        )
-        try:
-            kernels = engine.stats()["kernels"]
-        finally:
-            engine.shutdown()
-        assert kernels["backend"] == "blocked"
-        assert kernels["choices"]  # one row per conv node
-        for choice in kernels["choices"]:
-            assert choice["kernel"] == "blocked"
-            assert choice["source"] == "forced"
-            assert set(choice) == {"node", "shape", "kernel", "source"}
 
 
 class _FailBatchOnce:

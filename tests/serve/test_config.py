@@ -50,8 +50,6 @@ def test_tile_pair_normalisation():
     {"breaker_cooldown": -1.0},
     {"supervise_interval": 0.0},
     {"wedge_timeout": 0.0},
-    {"worker_backend": "fibers"},
-    {"gemm_backend": "cublas"},
 ])
 def test_validation_rejects(bad):
     with pytest.raises((ValueError, TypeError)):
@@ -109,18 +107,3 @@ def test_legacy_kwargs_raise_type_error(registry, legacy):
     with pytest.raises(TypeError):
         InferenceEngine(registry, KEY, **legacy)
 
-
-def test_gemm_backend_default_honours_env(monkeypatch):
-    monkeypatch.setenv("REPRO_GEMM_BACKEND", "blocked")
-    assert EngineConfig().gemm_backend == "blocked"
-    monkeypatch.delenv("REPRO_GEMM_BACKEND")
-    assert EngineConfig().gemm_backend == "blas"
-    # explicit always beats the env var
-    monkeypatch.setenv("REPRO_GEMM_BACKEND", "auto")
-    assert EngineConfig(gemm_backend="blas").gemm_backend == "blas"
-
-
-def test_describe_mentions_gemm_backend():
-    assert "gemm blocked" in EngineConfig(
-        gemm_backend="blocked"
-    ).describe()

@@ -13,9 +13,8 @@ from repro.train import predict_image
 
 def test_all_names_resolve():
     expected = {
-        "load", "collapse", "compile_model", "tune", "upscale",
-        "AsyncSRServer", "EngineConfig", "InferenceEngine", "ModelKey",
-        "ModelRegistry", "ProcessWorkerPool", "make_async_server",
+        "load", "collapse", "compile_model", "upscale",
+        "EngineConfig", "InferenceEngine", "ModelKey", "ModelRegistry",
         "make_server",
     }
     assert set(api.__all__) == expected
@@ -92,25 +91,3 @@ def test_upscale_rejects_bad_shapes():
     with pytest.raises(ValueError, match="scale"):
         api.upscale(object(), np.zeros((4, 4), dtype=np.float32))
 
-
-def test_tune_measures_and_persists(tmp_path, monkeypatch):
-    from repro.kernels import GEMM_KERNELS, load_cache
-
-    cache = str(tmp_path / "tuning.json")
-    monkeypatch.setenv("REPRO_TUNING_CACHE", cache)
-    rows = api.tune(api.load("M3", scale=2), size=(16, 16), repeats=1)
-    assert rows
-    for row in rows.values():
-        assert row["kernel"] in GEMM_KERNELS
-    assert load_cache(cache) == rows
-
-
-def test_tune_accepts_a_compiled_model_and_can_skip_saving(
-        tmp_path, monkeypatch):
-    monkeypatch.setenv(
-        "REPRO_TUNING_CACHE", str(tmp_path / "tuning.json")
-    )
-    compiled = api.compile_model(api.collapse(api.load("M3", scale=2)))
-    rows = api.tune(compiled, size=(16, 16), repeats=1, save=False)
-    assert rows
-    assert not (tmp_path / "tuning.json").exists()

@@ -19,7 +19,6 @@ PACKAGES = [
     "repro.nas",
     "repro.resilience",
     "repro.serve",
-    "repro.dataplane",
     "repro.zoo",
     "repro.cli",
     "repro.utils",

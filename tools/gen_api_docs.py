@@ -20,13 +20,11 @@ PACKAGES = [
     "repro.train",
     "repro.deploy",
     "repro.compile",
-    "repro.kernels",
     "repro.hw",
     "repro.theory",
     "repro.nas",
     "repro.resilience",
     "repro.serve",
-    "repro.dataplane",
     "repro.obs",
     "repro.zoo",
     "repro.cli",
