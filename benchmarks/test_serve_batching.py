@@ -33,7 +33,7 @@ WINDOWS_MS = (0.0, 2.0, 10.0)
 
 BASE = EngineConfig(
     workers=WORKERS, tile=32, cache_size=0, max_pending=64,
-    max_batch=8, supervise=False,
+    max_batch=8,
 )
 
 

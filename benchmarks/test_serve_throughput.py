@@ -3,19 +3,18 @@
 Drives the :mod:`repro.serve` engine with concurrent clients posting
 synthetic LR frames through SESR-M5 ×2 (collapsed at registration, as in
 deployment) and reports requests/sec plus p50/p95 latency straight from the
-engine's own telemetry.  Grid: thread workers at 1, 2 and 4, each exact
-and micro-batched.  Each request is a distinct frame and the output cache
-is disabled, so the numbers measure inference, not memoization; tiles per
-frame exceed the worker count, so a single request already exercises the
-whole pool.
+engine's own telemetry.  Grid: thread workers at 1, 2 and 4.  Each
+request is a distinct frame and the output cache is disabled, so the
+numbers measure inference, not memoization; tiles per frame exceed the
+worker count, so a single request already exercises the whole pool.
 
 Thread workers scale only while workers x BLAS threads stay within the
 cores: before the engine sized the BLAS pool (``repro.serve.cpu``), every
 worker's conv GEMMs also fanned out over a one-thread-per-core OpenBLAS
-pool, and 4 thread workers served fewer requests than 1.  The exact rows
-are asserted bit-identical to each other unconditionally; on a host with
+pool, and 4 thread workers served fewer requests than 1.  The rows are
+asserted bit-identical to each other unconditionally; on a host with
 >= 2 cores the full (non-``REPRO_BENCH_FAST``) run also asserts that 2
-exact workers out-serve 1.
+workers out-serve 1.
 """
 
 import threading
@@ -77,43 +76,36 @@ def run_load(engine: InferenceEngine) -> dict:
 def test_serve_throughput():
     registry = ModelRegistry()
     key = ModelKey(name="M5", scale=2)
-    grid = [(mode, workers) for mode in ("exact", "microbatch")
-            for workers in WORKERS]
     results = {}
     reference = None
     check_frame = np.random.default_rng(1).random(FRAME).astype(np.float32)
-    for mode, workers in grid:
-        microbatch = mode == "microbatch"
+    for workers in WORKERS:
         config = EngineConfig(
-            workers=workers, tile=TILE, microbatch=microbatch,
-            cache_size=0, max_pending=64,
+            workers=workers, tile=TILE, cache_size=0, max_pending=64,
         )
         with InferenceEngine(registry, key, config=config) as engine:
-            results[(mode, workers)] = run_load(engine)
-            if not microbatch:
-                # Worker count is a speed knob, never a pixel knob: every
-                # exact configuration produces the same bytes.
-                out = engine.upscale(check_frame)
-                if reference is None:
-                    reference = out
-                else:
-                    assert np.array_equal(reference, out), (
-                        f"exact x{workers} diverged from the exact "
-                        "single-worker output"
-                    )
+            results[workers] = run_load(engine)
+            # Worker count is a speed knob, never a pixel knob: every
+            # configuration produces the same bytes.
+            out = engine.upscale(check_frame)
+            if reference is None:
+                reference = out
+            else:
+                assert np.array_equal(reference, out), (
+                    f"x{workers} diverged from the single-worker output"
+                )
 
-    base = results[("exact", 1)]["rps"]
+    base = results[1]["rps"]
     rows = [
-        [mode, workers, r["requests"], f"{r['rps']:.2f}",
+        [workers, r["requests"], f"{r['rps']:.2f}",
          f"{r['p50']:.1f}", f"{r['p95']:.1f}", f"{r['rps'] / base:.2f}x"]
-        for (mode, workers), r in results.items()
+        for workers, r in results.items()
     ]
     emit(
         f"Serving throughput — SESR-M5 x2, {FRAME[1]}x{FRAME[0]} LR frames, "
         f"tile {TILE}, {CLIENTS} concurrent clients "
         f"(host: {cores()} cores)",
-        ["mode", "workers", "requests", "req/s", "p50 ms", "p95 ms",
-         "speedup"],
+        ["workers", "requests", "req/s", "p50 ms", "p95 ms", "speedup"],
         rows,
         "serve_throughput.txt",
     )
@@ -124,6 +116,6 @@ def test_serve_throughput():
     # Worker scaling needs real cores to spread over; on a 1-core host
     # the ordering is noise, and the FAST load is too small to time.
     if cores() >= 2 and not FAST:
-        assert results[("exact", 2)]["rps"] > base, (
-            "2 exact workers should out-serve 1 on a multi-core host"
+        assert results[2]["rps"] > base, (
+            "2 workers should out-serve 1 on a multi-core host"
         )

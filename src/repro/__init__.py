@@ -20,8 +20,8 @@ Package layout
                     Prometheus ``/metrics`` exposition
 ``repro.serve``     batched, cached, multi-worker inference engine with an
                     HTTP front-end (``python -m repro.cli serve``)
-``repro.resilience`` fault tolerance: retry/backoff, circuit breaker,
-                    numeric guard, deterministic fault injection
+``repro.resilience`` fault tolerance: circuit breaker, numeric guard,
+                    deterministic fault injection
 ``repro.api``       the stable facade: load / collapse / compile_model /
                     upscale / EngineConfig / make_server (start here)
 

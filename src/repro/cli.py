@@ -131,6 +131,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_upscale(args: argparse.Namespace) -> int:
+    from .compile import compile_model
     from .datasets import load_image, rgb_to_ycbcr, save_image, ycbcr_to_rgb
     from .datasets.degradation import bicubic_upscale
     from .deploy import self_ensemble, tiled_upscale
@@ -140,18 +141,11 @@ def cmd_upscale(args: argparse.Namespace) -> int:
     model = _build_model(args.model, args.scale, args.seed)
     if args.ckpt:
         load_state(model, args.ckpt)
-    if not args.no_compile:
-        # Default inference path: collapse (exact, Algorithm 2) and run the
-        # compiled planned-buffer executor; --no-compile keeps the eager
-        # training-shaped forward as an escape hatch.
-        from .compile import CaptureError, compile_model
-
-        deployed = model.collapse() if hasattr(model, "collapse") else model
-        deployed.eval()
-        try:
-            model = compile_model(deployed)
-        except CaptureError:
-            model = deployed
+    # Collapse (exact, Algorithm 2) and run the compiled planned-buffer
+    # executor, which is bit-identical to the eager collapsed forward.
+    deployed = model.collapse() if hasattr(model, "collapse") else model
+    deployed.eval()
+    model = compile_model(deployed)
     img = load_image(args.input)
 
     def run_y(y: np.ndarray) -> np.ndarray:
@@ -387,7 +381,6 @@ def _install_shutdown_handlers() -> None:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from .resilience import RetryPolicy
     from .serve import (
         EngineConfig,
         InferenceEngine,
@@ -406,25 +399,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
         config = EngineConfig(
             workers=args.workers,
             tile=args.tile,
-            microbatch=args.microbatch,
             max_batch=args.max_batch,
             batch_window_ms=args.batch_window_ms,
             cache_size=args.cache_size,
             max_pending=args.queue_size,
             default_timeout=args.timeout,
-            retry=RetryPolicy(max_attempts=args.retries),
             breaker_threshold=args.breaker_threshold,
             breaker_cooldown=args.breaker_cooldown,
             degraded_mode=not args.no_degraded,
-            wedge_timeout=args.timeout * 4,
-            compiled=not args.no_compile,
         )
     except ValueError as exc:
         print(f"repro serve: error: {exc.args[0]}", file=sys.stderr)
         return 2
     try:
         engine = InferenceEngine(registry, key, config=config)
-    except (KeyError, FileNotFoundError, CheckpointCorrupt) as exc:
+    except (KeyError, ValueError, FileNotFoundError, CheckpointCorrupt) as exc:
         print(f"repro serve: error: {exc.args[0]}", file=sys.stderr)
         return 2
     server = make_server(
@@ -495,9 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tile size for tiled inference (0 = full frame)")
     p.add_argument("--ensemble", action="store_true",
                    help="geometric x8 self-ensemble (slower, ~+0.1 dB)")
-    p.add_argument("--no-compile", action="store_true",
-                   help="run the eager forward instead of the compiled "
-                        "planned-buffer executor")
     p.set_defaults(fn=cmd_upscale)
 
     p = sub.add_parser("collapse", help="export the collapsed inference net")
@@ -531,22 +517,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max in-flight requests before 503s")
     p.add_argument("--timeout", type=float, default=30.0,
                    help="per-request deadline in seconds")
-    p.add_argument("--microbatch", action="store_true",
-                   help="batch same-shape tiles through one conv call "
-                        "(faster; ~1-ulp divergence from exact mode)")
     p.add_argument("--batch-window-ms", type=float, default=0.0,
                    help="coalesce same-shape tiles from concurrent "
                         "requests that arrive within this window into "
                         "one bit-exact forward pass (0 disables)")
     p.add_argument("--max-batch", type=int, default=8,
-                   help="largest coalesced (or micro-) batch fed to one "
-                        "forward pass")
+                   help="largest coalesced batch fed to one forward pass")
     p.add_argument("--max-body-bytes", type=int, default=64 * 1024 * 1024,
                    help="reject larger request bodies with HTTP 413 "
                         "before reading them (default 64 MiB)")
-    p.add_argument("--retries", type=int, default=3,
-                   help="attempts per tile job incl. the first "
-                        "(exponential backoff between them)")
     p.add_argument("--breaker-threshold", type=int, default=5,
                    help="consecutive request failures that open the "
                         "circuit breaker")
@@ -556,9 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-degraded", action="store_true",
                    help="fail requests instead of falling back to "
                         "bicubic when the model path is unavailable")
-    p.add_argument("--no-compile", action="store_true",
-                   help="serve the eager collapsed net instead of the "
-                        "compiled plan-cache path")
     p.add_argument("--verbose", action="store_true",
                    help="log each HTTP request")
     p.set_defaults(fn=cmd_serve)

@@ -30,7 +30,8 @@ Entry point::
     from repro.compile import compile_model
     fast = compile_model(trained_sesr.collapse())
 
-``repro.serve`` compiles by default (``--no-compile`` opts out); the
+``repro.serve`` and ``repro upscale`` run compiled plans; the eager
+collapsed network stays the oracle they are tested against.  The
 ``repro compile`` CLI dumps the IR, the pass log, and plan stats.  See
 ``docs/compiler.md``.
 """
@@ -85,8 +86,7 @@ def compile_model(model, *, optimize: bool = True,
     ``optimize=False`` skips the pass pipeline (the unfused graph still
     executes bit-identically — useful for debugging a pass);  ``passes``
     overrides the default pipeline.  Raises
-    :class:`~repro.compile.capture.CaptureError` for unsupported models —
-    callers with an eager fallback (the serve registry) catch it.
+    :class:`~repro.compile.capture.CaptureError` for unsupported models.
     """
     graph = capture(model)
     source = graph.name

@@ -3,10 +3,10 @@
 :class:`CompiledModel` runs an optimised :class:`~repro.compile.ir.Graph`
 inside the arenas a :class:`~repro.compile.planner.BufferPlan` laid out.
 It is a drop-in :class:`~repro.nn.Module`: ``forward`` takes and returns a
-:class:`~repro.nn.Tensor`, so ``predict_image``/``predict_batch``, the
-tiling helpers, and the serving engine work unchanged — which is also what
-makes the engine's tile fan-out multithreaded execution of the plan: each
-worker thread drives the same ``CompiledModel`` over its own tiles.
+:class:`~repro.nn.Tensor`, so ``predict_image``, the tiling helpers, and
+the serving engine work unchanged — which is also what makes the engine's
+tile fan-out multithreaded execution of the plan: each worker thread
+drives the same ``CompiledModel`` over its own tiles.
 
 **Bit-exactness.**  Every kernel replays the eager :mod:`repro.nn.ops`
 float operation chain exactly, only redirecting *where* results land:

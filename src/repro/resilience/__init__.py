@@ -6,18 +6,15 @@ without a fallback, no training run dies without a recovery path":
 * :mod:`~repro.resilience.faults` — deterministic, seedable fault
   injection (:class:`FaultInjector`) used by the chaos test suite to
   prove the rest of this package actually works.
-* :mod:`~repro.resilience.retry` — :class:`RetryPolicy`, bounded
-  exponential backoff with deterministic jitter, for transient tile
-  faults in the serving engine.
 * :mod:`~repro.resilience.breaker` — :class:`CircuitBreaker`
   (closed → open → half-open) so a persistently failing model degrades
-  to the bicubic fallback instead of burning retries forever.
+  to the bicubic fallback instead of failing every request.
 * :mod:`~repro.resilience.guard` — :class:`NumericGuard`, the training
   side: NaN/Inf and loss-spike detection with skip-step and
   rollback-to-checkpoint escalation.
 
-Wiring lives in :mod:`repro.serve.engine` (retry/breaker/degraded mode,
-supervised worker pool) and :mod:`repro.train` (atomic checkpoints,
+Wiring lives in :mod:`repro.serve.engine` (admission slots, deadlines,
+breaker, degraded mode) and :mod:`repro.train` (atomic checkpoints,
 auto-resume, rollback); behaviour contracts live in ``docs/robustness.md``
 and are enforced by ``tests/resilience/``.
 """
@@ -28,9 +25,8 @@ from .breaker import (
     BREAKER_OPEN,
     CircuitBreaker,
 )
-from .faults import FaultInjector, InjectedFault, WorkerDeath
+from .faults import FaultInjector, InjectedFault
 from .guard import GUARD_OK, GUARD_ROLLBACK, GUARD_SKIP, NumericGuard
-from .retry import RetryPolicy, call_with_retry
 
 __all__ = [
     "BREAKER_CLOSED",
@@ -39,11 +35,8 @@ __all__ = [
     "CircuitBreaker",
     "FaultInjector",
     "InjectedFault",
-    "WorkerDeath",
     "GUARD_OK",
     "GUARD_ROLLBACK",
     "GUARD_SKIP",
     "NumericGuard",
-    "RetryPolicy",
-    "call_with_retry",
 ]

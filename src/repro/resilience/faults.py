@@ -1,24 +1,21 @@
 """Deterministic fault injection for chaos testing the serving path.
 
 A :class:`FaultInjector` is a hook the inference engine calls once per
-tile-job *attempt* (:meth:`FaultInjector.on_tile`).  Every decision —
-raise a transient fault, add latency, kill the worker thread — derives
-from the constructor arguments and a seeded RNG, so a given injector
-produces the same fault schedule on every run.  That determinism is what
-lets the chaos suite assert exact outcomes ("attempts 1–2 fail, attempt 3
-succeeds and the output is bit-identical to the clean engine") instead of
-flaky probabilistic ones.
+tile job, and once per coalesced-batch attempt
+(:meth:`FaultInjector.on_tile`).  Every decision — raise a fault, add
+latency — derives from the constructor arguments and a seeded RNG, so a
+given injector produces the same fault schedule on every run.  That
+determinism is what lets the chaos suite assert exact outcomes ("calls
+1–2 fail, call 3 succeeds and the output is bit-identical to the clean
+engine") instead of flaky probabilistic ones.
 
-Faults come in three flavours:
+Faults come in two flavours:
 
 * :class:`InjectedFault` — an ordinary exception, standing in for a
-  poisoned tile / transient compute failure.  Retryable.
-* latency — ``time.sleep`` inside the worker, standing in for a wedged
-  BLAS call or an overloaded core.  Trips deadline / wedge detection.
-* :class:`WorkerDeath` — derives from :class:`BaseException` so the
-  worker's normal ``except Exception`` fault handling cannot swallow it;
-  the worker loop re-queues the in-flight job and lets the thread die,
-  standing in for ``kill -9`` of a worker.  The supervisor must respawn.
+  poisoned tile / compute failure.  It fails the tile's request, which
+  counts toward the circuit breaker.
+* latency — ``time.sleep`` inside the worker, standing in for a stuck
+  BLAS call or an overloaded core.  Trips request deadlines.
 """
 
 from __future__ import annotations
@@ -26,20 +23,11 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Dict, FrozenSet, Iterable
+from typing import Dict
 
 
 class InjectedFault(RuntimeError):
-    """A synthetic, retryable tile-compute failure."""
-
-
-class WorkerDeath(BaseException):
-    """Synthetic worker-thread death (``kill -9`` stand-in).
-
-    Deliberately *not* an :class:`Exception`: retry loops and generic
-    fault handlers must not catch it — only the worker loop's dedicated
-    handler, which re-queues the job and terminates the thread.
-    """
+    """A synthetic tile-compute failure."""
 
 
 class FaultInjector:
@@ -51,7 +39,7 @@ class FaultInjector:
         Seeds the RNG used by ``fail_rate`` draws.
     fail_first:
         The first ``n`` calls raise :class:`InjectedFault` (transient
-        faults that retries should absorb).
+        faults: the model path recovers afterwards).
     fail_rate:
         Probability in ``[0, 1]`` that any later call raises
         :class:`InjectedFault`; draws come from the seeded RNG under the
@@ -63,9 +51,7 @@ class FaultInjector:
         open the circuit breaker.
     latency, latency_every:
         Sleep ``latency`` seconds on every ``latency_every``-th call
-        (0 disables), simulating a wedged worker.
-    kill_on_calls:
-        Call indices (1-based) that raise :class:`WorkerDeath`.
+        (0 disables), simulating a stuck worker.
     """
 
     def __init__(
@@ -76,7 +62,6 @@ class FaultInjector:
         persistent: bool = False,
         latency: float = 0.0,
         latency_every: int = 0,
-        kill_on_calls: Iterable[int] = (),
     ) -> None:
         if not 0.0 <= fail_rate <= 1.0:
             raise ValueError("fail_rate must be in [0, 1]")
@@ -87,39 +72,32 @@ class FaultInjector:
         self.persistent = persistent
         self.latency = latency
         self.latency_every = latency_every
-        self._kill_on: FrozenSet[int] = frozenset(kill_on_calls)
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self.calls = 0
         self.faults_injected = 0
-        self.kills_injected = 0
         self.delays_injected = 0
 
     def on_tile(self) -> None:
-        """Engine hook: called once per tile-job attempt, may raise/sleep."""
+        """Engine hook: called once per tile job or batch, may raise/sleep."""
         with self._lock:
             self.calls += 1
             n = self.calls
-            kill = n in self._kill_on
-            fault = not kill and (
+            fault = (
                 self.persistent
                 or n <= self.fail_first
                 or (self.fail_rate > 0.0
                     and self._rng.random() < self.fail_rate)
             )
             delay = 0.0
-            if (not kill and not fault and self.latency > 0.0
+            if (not fault and self.latency > 0.0
                     and self.latency_every > 0
                     and n % self.latency_every == 0):
                 delay = self.latency
-            if kill:
-                self.kills_injected += 1
-            elif fault:
+            if fault:
                 self.faults_injected += 1
             elif delay:
                 self.delays_injected += 1
-        if kill:
-            raise WorkerDeath(f"injected worker death on call {n}")
         if fault:
             raise InjectedFault(f"injected tile fault on call {n}")
         if delay:
@@ -131,6 +109,5 @@ class FaultInjector:
             return {
                 "calls": self.calls,
                 "faults": self.faults_injected,
-                "kills": self.kills_injected,
                 "delays": self.delays_injected,
             }

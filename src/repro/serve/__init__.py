@@ -25,7 +25,6 @@ from .engine import (
     RequestTimeout,
     UpscaleResult,
     plan_tiles,
-    predict_batch,
     predict_batch_exact,
 )
 from .scheduler import BatchScheduler, TileJob
@@ -33,7 +32,6 @@ from .http import (
     SRRequestHandler,
     SRServer,
     make_server,
-    upscale_array,
     upscale_array_ex,
 )
 from .registry import ModelKey, ModelRegistry, build_training_model
@@ -53,12 +51,10 @@ __all__ = [
     "RequestTimeout",
     "UpscaleResult",
     "plan_tiles",
-    "predict_batch",
     "predict_batch_exact",
     "SRRequestHandler",
     "SRServer",
     "make_server",
-    "upscale_array",
     "upscale_array_ex",
     "ModelKey",
     "ModelRegistry",

@@ -1,85 +1,72 @@
 """Batched, multi-worker tile inference engine (the serving hot path).
 
-A request is one LR Y-channel image.  The engine splits it into halo-padded
-tiles exactly like :func:`repro.deploy.tiled.tiled_upscale` (same tile
-planner, same :func:`~repro.deploy.tiled.receptive_radius` halo default),
-fans the tiles out across a thread worker pool, and stitches the upscaled
-cores back into the response — so a single 1080p frame saturates every
-worker instead of serialising behind one thread.  The parallelism is one
-tile per worker, not inside a tile: while workers are live, the
-process's BLAS pool is sized to ``max(1, cores // live workers)``
-(:mod:`repro.serve.cpu`), so the workers' GEMMs together run at most
-``max(cores, workers)`` threads.  The pool size does not change output
-bits.
+A request is one LR Y-channel image.  The engine splits it into tiles
+padded by the model's receptive radius, exactly like
+:func:`repro.deploy.tiled.tiled_upscale` (same tile planner, same
+:func:`~repro.deploy.tiled.receptive_radius` halo), fans the tiles out
+across a thread worker pool, and stitches the upscaled cores back into
+the response — so a single 1080p frame saturates every worker instead of
+serialising behind one thread.  The parallelism is one tile per worker,
+not inside a tile: while workers are live, the process's BLAS pool is
+sized to ``max(1, cores // live workers)`` (:mod:`repro.serve.cpu`), so
+the workers' GEMMs together run at most ``max(cores, workers)`` threads.
+The pool size does not change output bits.
 
-Configuration is one frozen :class:`~repro.serve.EngineConfig` value —
-``InferenceEngine(registry, key, config=EngineConfig(...))`` is the
-*only* constructor signature (the historical kwarg-soup shim warned for
-two releases and is gone; stray keywords now raise :class:`TypeError`).
+Configuration is one frozen :class:`~repro.serve.EngineConfig` value, and
+``InferenceEngine(registry, key, config=EngineConfig(...))`` is the only
+constructor signature.
 
-Execution modes per tile job:
+Every tile runs the registry's compiled plan
+(:class:`~repro.compile.CompiledModel`, bit-identical to the eager
+collapsed network):
 
-* **exact** (default): each tile runs through
-  :func:`repro.train.predict_image`, the same call the CLI uses — output is
-  bit-identical to ``tiled_upscale`` at the same tile/halo, and to
+* **alone** (the default): each tile job runs through
+  :func:`repro.train.predict_image`, the same call the CLI uses — output
+  is bit-identical to ``tiled_upscale`` at the same tile, and to
   full-frame inference whenever one tile covers the frame.
-* **cross-request batched** (``batch_window_ms > 0``): the
+* **coalesced across requests** (``batch_window_ms > 0``): the
   :class:`~repro.serve.BatchScheduler` coalesces same-shape tile jobs from
   *different* in-flight requests, bounded by ``max_batch`` and the window,
   with round-robin fair share so a huge request cannot starve small ones.
   Coalesced batches share one pad + im2col pass and run the conv matmul
   per sample (``CompiledModel.run(exact_batch=True)``), so the output
-  stays **byte-identical** to unbatched serving — the collapsed nets are
-  dispatch-bound, which is where coalescing pays (see ``docs/serving.md``).
-* **micro-batched** (``microbatch=True``, legacy): same-shape tiles *of
-  one request* are stacked through a single stacked matmul.  Fewer Python
-  round-trips at the cost of bit-exactness (BLAS may reassociate across
-  batch layouts; results agree to ~1 ulp).
+  stays **byte-identical** to unbatched serving.
 
 Requests are admitted through a bounded slot pool (load-shedding beats
 unbounded queueing), carry a deadline (:class:`RequestTimeout`), and
 :meth:`InferenceEngine.shutdown` drains workers gracefully.
 
-Fault tolerance (see ``docs/robustness.md`` and ``tests/resilience/``):
+Fault handling (see ``docs/robustness.md`` and ``tests/resilience/``):
 
-* Tile jobs retry transient failures under a
-  :class:`~repro.resilience.RetryPolicy` (exponential backoff, seeded
-  jitter) before the request is failed.
-* A **poisoned batch** never takes its batchmates down: if a coalesced
-  batch fails, its jobs re-run singly — each with the full retry budget —
-  so only the actually-faulty request fails.
+* A tile that raises fails only its own request.  A **poisoned batch**
+  never takes its batchmates down: if a coalesced batch fails, its jobs
+  re-run singly, so only the actually-faulty request fails.
 * A per-model-key :class:`~repro.resilience.CircuitBreaker` trips after
   consecutive request failures; while open, requests skip the model
   entirely.
-* With ``degraded_mode=True`` a request that exhausts retries — or
-  arrives while the breaker is open — returns the bicubic-upscaled input
-  tagged ``degraded=True`` (:class:`UpscaleResult`) instead of raising;
+* With ``degraded_mode=True`` a failed request — or one that arrives
+  while the breaker is open — returns the bicubic-upscaled input tagged
+  ``degraded=True`` (:class:`UpscaleResult`) instead of raising;
   identical bytes to :func:`repro.datasets.degradation.bicubic_upscale`.
-* A supervisor thread heartbeat-checks the worker pool: dead workers
-  (e.g. an injected :class:`~repro.resilience.WorkerDeath`) re-queue
-  their in-flight jobs and are respawned; workers busy past
-  ``wedge_timeout`` are retired and replaced so one stuck BLAS call
-  cannot eat a pool slot forever.
 * A seedable :class:`~repro.resilience.FaultInjector` hook fires before
-  every tile-job attempt (and once per coalesced-batch attempt), which is
-  how the chaos suite drives all of the above deterministically.
+  every tile job (and once per coalesced-batch attempt), which is how the
+  chaos suite drives all of the above deterministically.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..datasets.degradation import bicubic_upscale
 from ..deploy.tiled import receptive_radius
-from ..nn import Module, Tensor, no_grad
+from ..nn import Module
 from ..obs import trace as _trace
-from ..resilience import CircuitBreaker, FaultInjector, WorkerDeath
+from ..resilience import CircuitBreaker, FaultInjector
 from ..train import predict_image
 from . import cpu as _cpu
 from .cache import LRUCache, array_digest
@@ -131,8 +118,8 @@ class TileSpec:
 class UpscaleResult:
     """An upscaled image plus how it was produced.
 
-    ``degraded=True`` means the model path failed (retries exhausted or
-    breaker open) and ``image`` is the bicubic fallback — bit-identical
+    ``degraded=True`` means the model path failed (a tile raised or the
+    breaker is open) and ``image`` is the bicubic fallback — bit-identical
     to ``bicubic_upscale(lr, scale)``; ``reason`` says why.
     ``trace_id`` identifies the request's span tree in the tracer's ring
     buffer / JSONL export (surfaced as the ``X-Trace-Id`` HTTP header).
@@ -164,29 +151,15 @@ def plan_tiles(
     return specs
 
 
-def predict_batch(model: Module, patches: np.ndarray) -> np.ndarray:
-    """Run a ``(N, H, W, 1)`` stack through one forward pass per layer.
-
-    The batch axis rides through the same im2col ``conv2d`` the single-image
-    path uses — one matmul covers all N tiles, which is the micro-batching
-    win.  Returns ``(N, sH, sW)`` clipped to [0, 1] like ``predict_image``.
-    Approximate across the batch axis (~1 ulp); for the bit-exact batched
-    path see :func:`predict_batch_exact`.
-    """
-    model.eval()
-    with no_grad():
-        out = model(Tensor(patches)).data
-    return np.clip(out[..., 0], 0.0, 1.0)
-
-
 def predict_batch_exact(model: Module, patches: np.ndarray) -> np.ndarray:
-    """Like :func:`predict_batch`, but bit-identical per sample to
+    """Upscale a ``(N, H, W, 1)`` stack, bit-identical per sample to
     :func:`~repro.train.predict_image` on each tile alone.
 
-    Compiled models share one pad/im2col pass across the batch and run
-    the conv GEMM per sample (``run(exact_batch=True)``); anything else
-    (eager fallback, duck-typed test doubles) is computed tile by tile —
-    no conv coalescing, but the parity contract always holds.
+    Returns ``(N, sH, sW)`` clipped to [0, 1].  Compiled models share one
+    pad/im2col pass across the batch and run the conv GEMM per sample
+    (``run(exact_batch=True)``); anything else (eager models, duck-typed
+    test doubles) is computed tile by tile — no conv coalescing, but the
+    parity contract always holds.
     """
     from ..compile.executor import CompiledModel
 
@@ -236,18 +209,15 @@ class InferenceEngine:
         first request.
     config:
         An :class:`~repro.serve.EngineConfig` holding every serving knob
-        (workers, tiling, batching, cache, admission, resilience,
-        compilation).  ``None`` = defaults.
+        (workers, tiling, batching, cache, admission, breaker, degraded
+        mode).  ``None`` = defaults.
     telemetry, breaker, fault_injector:
         Stateful collaborators, injectable for sharing and testing: a
         metrics registry, a pre-built circuit breaker (default: one built
         from ``config.breaker_threshold``/``config.breaker_cooldown``),
         and the chaos-testing fault hook.
 
-    The pre-``EngineConfig`` keyword surface (``workers=``, ``tile=``,
-    ``retry=``, ...) was removed after a two-release deprecation window;
-    passing those keywords now raises :class:`TypeError` like any other
-    unknown argument.
+    Any other keyword argument raises :class:`TypeError`.
     """
 
     def __init__(
@@ -264,33 +234,18 @@ class InferenceEngine:
 
         self.registry = registry
         self.key = key
-        # Run the compiled plan by default (bit-identical to eager, see
-        # repro.compile); models the compiler cannot capture fall back to
-        # the eager network transparently.
-        self.compiled = False
-        self.compile_fallback = False
-        if config.compiled:
-            from ..compile import CaptureError
-
-            try:
-                self.model = registry.get_compiled(key)
-                self.compiled = True
-            except CaptureError:
-                self.model = registry.get(key)
-                self.compile_fallback = True
-        else:
-            self.model = registry.get(key)
+        # The compiled plan, bit-identical to the eager collapsed network
+        # (see repro.compile); every deployable key compiles.
+        self.model = registry.get_compiled(key)
         self.scale = key.scale
         self.tile = config.tile
-        self.halo = (receptive_radius(self.model) if config.halo is None
-                     else config.halo)
-        self.microbatch = config.microbatch
+        # The receptive radius: the one halo that makes tiling exact.
+        self.halo = receptive_radius(self.model)
         self.max_batch = config.max_batch
         self.batch_window = config.batch_window_ms / 1e3
         self.default_timeout = config.default_timeout
         self.cache = LRUCache(config.cache_size)
         self.telemetry = telemetry or Telemetry()
-        self.retry = config.retry
         self.degraded_mode = config.degraded_mode
         self.fault_injector = fault_injector
         breaker_name = f"{key.name}:x{key.scale}:{key.precision}"
@@ -315,25 +270,17 @@ class InferenceEngine:
         self._inflight = self.telemetry.gauge("engine.inflight_requests")
         self._latency = self.telemetry.histogram("engine.request_latency_ms")
         self._batch_size = self.telemetry.histogram("engine.batch_size")
-        self._retry_rng = random.Random(self.retry.seed)
-        self._rng_lock = threading.Lock()
-        self._workers_lock = threading.Lock()
-        self._worker_seq = 0
-        self._busy_since: Dict[str, float] = {}
-        self._retired: set = set()
-        self.supervise_interval = config.supervise_interval
-        self.wedge_timeout = config.wedge_timeout
         # Registered once construction can no longer fail, so a raising
         # constructor leaves no workers counted against the BLAS pool.
         self._blas_pool = _cpu.POOL
         self._blas_pool.register(config.workers)
-        self._workers = [self._spawn_worker() for _ in range(config.workers)]
-        self._supervisor: Optional[threading.Thread] = None
-        if config.supervise:
-            self._supervisor = threading.Thread(
-                target=self._supervisor_loop, name="sr-supervisor", daemon=True
-            )
-            self._supervisor.start()
+        self._workers = [
+            threading.Thread(target=self._worker_loop,
+                             name=f"sr-worker-{i}", daemon=True)
+            for i in range(1, config.workers + 1)
+        ]
+        for t in self._workers:
+            t.start()
 
     # ------------------------------------------------------------------ #
     # request path
@@ -414,7 +361,7 @@ class InferenceEngine:
                 self.breaker.record_failure()
                 if self.degraded_mode:
                     return self._degrade(
-                        lr_img, f"retries exhausted: {request.error!r}"
+                        lr_img, f"tile failed: {request.error!r}"
                     )
                 raise EngineError(
                     f"worker failed: {request.error!r}"
@@ -449,130 +396,54 @@ class InferenceEngine:
         # Workers adopt the request span as parent: tile/stitch spans land
         # in this trace no matter which pool thread runs them.
         request.ctx = root.context
-        jobs = self._group(specs)
         root.attrs["tiles"] = len(specs)
-        root.attrs["jobs"] = len(jobs)
-        request.pending = len(jobs)
-        for spec_group in jobs:
-            # Only singleton jobs coalesce across requests; legacy
-            # micro-batch groups are already stacked and ride the express
-            # lane.
-            job = TileJob(
-                request, spec_group,
-                group=(self.key, spec_group[0].halo_shape),
-                batchable=len(spec_group) == 1,
+        request.pending = len(specs)
+        for spec in specs:
+            self._scheduler.put(
+                TileJob(request, spec, group=(self.key, spec.halo_shape))
             )
-            self._scheduler.put(job)
             self._queue_depth.inc()
         return request
-
-    def _group(self, specs: Sequence[TileSpec]) -> List[List[TileSpec]]:
-        """Group tiles into jobs: singletons, or same-shape micro-batches."""
-        if not self.microbatch:
-            return [[s] for s in specs]
-        by_shape: Dict[Tuple[int, int], List[TileSpec]] = {}
-        for s in specs:
-            by_shape.setdefault(s.halo_shape, []).append(s)
-        jobs = []
-        for group in by_shape.values():
-            for i in range(0, len(group), self.max_batch):
-                jobs.append(group[i : i + self.max_batch])
-        return jobs
 
     # ------------------------------------------------------------------ #
     # worker side
     # ------------------------------------------------------------------ #
-    def _spawn_worker(self) -> threading.Thread:
-        # Callers serialise: the constructor runs alone, the supervisor
-        # holds ``_workers_lock``.
-        self._worker_seq += 1
-        t = threading.Thread(
-            target=self._worker_loop,
-            name=f"sr-worker-{self._worker_seq}",
-            daemon=True,
-        )
-        t.start()
-        return t
-
     def _worker_loop(self) -> None:
-        name = threading.current_thread().name
         while True:
             batch = self._scheduler.get()
             if batch is None:
                 return  # scheduler closed and drained
             self._queue_depth.dec(len(batch))
-            self._busy_since[name] = time.monotonic()
-            remaining = list(batch)
-            try:
-                self._dispatch(batch, remaining)
-            except WorkerDeath:
-                # Simulated kill -9: hand unfinished jobs back to a live
-                # worker and let this thread die; the supervisor respawns
-                # it.  Finished batchmates are NOT requeued — their tiles
-                # are stitched and accounted.
-                self._busy_since.pop(name, None)
-                self.telemetry.counter("engine.worker_deaths").inc()
-                if self._closed:
-                    for job in remaining:
-                        job.request.fail(EngineClosed("engine shut down"))
-                        job.request.finish_jobs(1)
-                else:
-                    self._scheduler.requeue(remaining)
-                    self._queue_depth.inc(len(remaining))
-                return
-            finally:
-                self._busy_since.pop(name, None)
-            if name in self._retired:
-                return
+            self._dispatch(batch)
 
-    def _dispatch(self, batch: List[TileJob],
-                  remaining: List[TileJob]) -> None:
-        """Run one dispatched batch; ``remaining`` tracks unfinished jobs.
-
-        Every job leaves through exactly one of: computed + stitched,
-        failed (request tagged), or still in ``remaining`` when a
-        :class:`WorkerDeath` propagates (the caller requeues those).
-        """
+    def _dispatch(self, batch: List[TileJob]) -> None:
+        """Run one dispatched batch; every job is finished exactly once,
+        either computed + stitched or failed (request tagged)."""
         self._batch_size.observe(len(batch))
         self.telemetry.counter("engine.batches").inc()
         if len(batch) > 1:
             self.telemetry.counter("engine.coalesced_batches").inc()
             self.telemetry.counter("engine.coalesced_tiles").inc(len(batch))
-            try:
-                if self._run_batch(batch):
-                    for job in batch:
-                        self._finish(job, remaining)
-                    return
-            except WorkerDeath:
-                raise
+            if self._run_batch(batch):
+                for job in batch:
+                    job.request.finish_jobs(1)
+                return
             # Poisoned batch: isolate the fault — every job re-runs singly
-            # below with its own full retry budget, so only the genuinely
-            # faulty request(s) fail.
+            # below, so only the genuinely faulty request(s) fail.
             self.telemetry.counter("engine.batch_fallbacks").inc()
         for job in batch:
             try:
                 if not job.request.cancelled:
-                    self._run_job(job.request, job.specs)
-            except WorkerDeath:
-                raise
+                    self._run_job(job.request, job.spec)
             except BaseException as exc:  # noqa: BLE001 — reported to caller
                 job.request.fail(exc)
-            self._finish(job, remaining)
-
-    @staticmethod
-    def _finish(job: TileJob, remaining: List[TileJob]) -> None:
-        job.request.finish_jobs(1)
-        try:
-            remaining.remove(job)
-        except ValueError:  # pragma: no cover — defensive
-            pass
+            job.request.finish_jobs(1)
 
     def _run_batch(self, batch: List[TileJob]) -> bool:
         """One attempt at a coalesced cross-request batch.
 
         Returns ``True`` when every live job was computed and stitched;
-        ``False`` signals the caller to fall back to singles.  Raises
-        only :class:`WorkerDeath`.
+        ``False`` signals the caller to fall back to singles.
         """
         live = [j for j in batch if not j.request.cancelled]
         if not live:
@@ -582,15 +453,12 @@ class InferenceEngine:
                 self.fault_injector.on_tile()
             self._compute_coalesced(live)
             return True
-        except WorkerDeath:
-            raise
         except Exception:
             return False
 
     def _compute_coalesced(self, jobs: List[TileJob]) -> None:
         """Stack same-shape tiles of several requests into one exact pass."""
-        s = self.scale
-        specs = [j.specs[0] for j in jobs]
+        specs = [j.spec for j in jobs]
         shape = specs[0].halo_shape
         requests = len({id(j.request) for j in jobs})
         with _trace.span(
@@ -603,12 +471,7 @@ class InferenceEngine:
             ])[..., None]
             outs = predict_batch_exact(self.model, patches)
             for j, t, sr in zip(jobs, specs, outs):
-                cy0, cx0 = (t.y0 - t.hy0) * s, (t.x0 - t.hx0) * s
-                cy1 = cy0 + (t.y1 - t.y0) * s
-                cx1 = cx0 + (t.x1 - t.x0) * s
-                j.request.out[t.y0 * s:t.y1 * s, t.x0 * s:t.x1 * s] = (
-                    sr[cy0:cy1, cx0:cx1]
-                )
+                self._stitch(j.request, t, sr)
         self.telemetry.counter("engine.tiles").inc(len(jobs))
         # Keep each request's trace tree complete: a zero-cost tile span
         # per job, linked to the batch it actually ran in.
@@ -621,81 +484,32 @@ class InferenceEngine:
                 ):
                     pass
 
-    def _run_job(self, request: _Request, specs: List[TileSpec]) -> None:
-        """One tile job, with per-attempt fault injection and retries."""
+    def _run_job(self, request: _Request, t: TileSpec) -> None:
+        """One tile job: fault hook, compute, stitch."""
         with _trace.attach(request.ctx):
-            attempts = self.retry.max_attempts
-            for attempt in range(1, attempts + 1):
-                try:
-                    if self.fault_injector is not None:
-                        self.fault_injector.on_tile()
-                    self._compute(request, specs)
-                    return
-                except WorkerDeath:
-                    raise
-                except Exception:
-                    if attempt >= attempts or request.cancelled or self._closed:
-                        raise
-                    self.telemetry.counter("engine.tile_retries").inc()
-                    with self._rng_lock:
-                        u = self._retry_rng.random()
-                    time.sleep(self.retry.backoff(attempt, u))
-
-    def _compute(self, request: _Request, specs: List[TileSpec]) -> None:
-        lr, s = request.lr, self.scale
-        if len(specs) > 1:
-            with _trace.span("serve.tile_batch", tiles=len(specs)):
-                patches = np.stack(
-                    [lr[t.hy0 : t.hy1, t.hx0 : t.hx1] for t in specs]
-                )[..., None]
-                outs = predict_batch(self.model, patches)
-            self.telemetry.counter("engine.microbatches").inc()
-        else:
-            t = specs[0]
+            if self.fault_injector is not None:
+                self.fault_injector.on_tile()
             with _trace.span(
                 "serve.tile", y0=t.y0, x0=t.x0,
                 h=t.y1 - t.y0, w=t.x1 - t.x0,
             ):
-                patch = lr[t.hy0 : t.hy1, t.hx0 : t.hx1]
-                outs = [predict_image(self.model, patch)]
-        self.telemetry.counter("engine.tiles").inc(len(specs))
-        with _trace.span("serve.stitch", tiles=len(specs)):
-            for t, sr in zip(specs, outs):
-                cy0, cx0 = (t.y0 - t.hy0) * s, (t.x0 - t.hx0) * s
-                cy1 = cy0 + (t.y1 - t.y0) * s
-                cx1 = cx0 + (t.x1 - t.x0) * s
-                request.out[t.y0 * s : t.y1 * s, t.x0 * s : t.x1 * s] = sr[
-                    cy0:cy1, cx0:cx1
-                ]
+                sr = predict_image(
+                    self.model, request.lr[t.hy0:t.hy1, t.hx0:t.hx1]
+                )
+            self.telemetry.counter("engine.tiles").inc()
+            with _trace.span("serve.stitch", tiles=1):
+                self._stitch(request, t, sr)
 
-    # ------------------------------------------------------------------ #
-    # supervision
-    # ------------------------------------------------------------------ #
-    def _supervisor_loop(self) -> None:
-        """Heartbeat loop: respawn dead workers, retire wedged ones."""
-        while not self._closed:
-            time.sleep(self.supervise_interval)
-            if self._closed:
-                return
-            now = time.monotonic()
-            with self._workers_lock:
-                if self._closed:
-                    return
-                for i, t in enumerate(self._workers):
-                    if not t.is_alive():
-                        self._workers[i] = self._spawn_worker()
-                        self.telemetry.counter("engine.worker_respawns").inc()
-                        continue
-                    if self.wedge_timeout is None or t.name in self._retired:
-                        continue
-                    started = self._busy_since.get(t.name)
-                    if started is not None and now - started > self.wedge_timeout:
-                        # Python threads cannot be killed; retire it (it
-                        # exits after its current job) and staff a spare.
-                        self._retired.add(t.name)
-                        self._workers[i] = self._spawn_worker()
-                        self.telemetry.counter("engine.workers_wedged").inc()
-                        self.telemetry.counter("engine.worker_respawns").inc()
+    def _stitch(self, request: _Request, t: TileSpec,
+                sr: np.ndarray) -> None:
+        """Copy the upscaled core of tile ``t`` into the response."""
+        s = self.scale
+        cy0, cx0 = (t.y0 - t.hy0) * s, (t.x0 - t.hx0) * s
+        cy1 = cy0 + (t.y1 - t.y0) * s
+        cx1 = cx0 + (t.x1 - t.x0) * s
+        request.out[t.y0 * s:t.y1 * s, t.x0 * s:t.x1 * s] = (
+            sr[cy0:cy1, cx0:cx1]
+        )
 
     def _on_breaker_transition(self, old: str, new: str) -> None:
         self.telemetry.counter(f"engine.breaker_to_{new}").inc()
@@ -715,17 +529,13 @@ class InferenceEngine:
             if self._closed:
                 return
             self._closed = True
-        if self._supervisor is not None:
-            self._supervisor.join(timeout=self.supervise_interval + 5.0)
         if not wait:
             for job in self._scheduler.drain():
                 self._queue_depth.dec()
                 job.request.fail(EngineClosed("engine shut down"))
                 job.request.finish_jobs(1)
         self._scheduler.close()
-        with self._workers_lock:
-            workers = list(self._workers)
-        for t in workers:
+        for t in self._workers:
             t.join(timeout=30.0)
         self._blas_pool.unregister(self.config.workers)
 
@@ -773,9 +583,6 @@ class InferenceEngine:
             "precision": self.key.precision,
             "workers": len(self._workers),
             "halo": self.halo,
-            "compiled": self.compiled,
-            "compile_fallback": self.compile_fallback,
-            "supervised": self._supervisor is not None,
             "cores": self._blas_pool.cores,
             "blas_threads": self._blas_pool.threads(),
         })

@@ -19,11 +19,9 @@ Endpoints (v1 — the documented API)
     live tracing-span aggregates — what a metrics scraper points at
     (see ``docs/observability.md``).
 
-The original unversioned paths (``/upscale``, ``/healthz``, ``/stats``,
-``/metrics``) no longer serve content: they answer **308 Permanent
-Redirect** with a ``Location: /v1/...`` header and an empty body.  (They
-spent a deprecation cycle serving dual-stack with ``Deprecation: true``
-+ ``Link: rel="successor-version"`` headers first.)  308 — not 301/302 —
+The unversioned paths (``/upscale``, ``/healthz``, ``/stats``,
+``/metrics``) serve no content: they answer **308 Permanent Redirect**
+with a ``Location: /v1/...`` header and an empty body.  308 — not 301/302 —
 because it forbids the method rewrite: a redirected ``POST /upscale``
 must be retried as ``POST /v1/upscale`` with the same body.  A redirect
 response to a POST closes the connection, since the unread request body
@@ -121,8 +119,8 @@ def upscale_array_ex(engine: InferenceEngine, img: np.ndarray,
     """Upscale a decoded image, colour-handling like ``cmd_upscale``.
 
     Colour inputs follow the paper's protocol: the engine handles the Y
-    channel (including its retry/degraded machinery — the result is
-    tagged degraded whenever the Y path was), chroma is bicubic.
+    channel (the result is tagged degraded whenever the Y path was),
+    chroma is bicubic.
     ``trace_id`` propagates to the engine's request span (see
     :meth:`~repro.serve.InferenceEngine.upscale_ex`).
     """
@@ -138,12 +136,6 @@ def upscale_array_ex(engine: InferenceEngine, img: np.ndarray,
     rgb = ycbcr_to_rgb(np.stack([y_res.image, cb, cr], axis=2))
     return UpscaleResult(rgb, degraded=y_res.degraded, cached=y_res.cached,
                          reason=y_res.reason, trace_id=y_res.trace_id)
-
-
-def upscale_array(engine: InferenceEngine, img: np.ndarray,
-                  timeout: Optional[float] = None) -> np.ndarray:
-    """Back-compat wrapper over :func:`upscale_array_ex` (image only)."""
-    return upscale_array_ex(engine, img, timeout=timeout).image
 
 
 class SRRequestHandler(BaseHTTPRequestHandler):

@@ -32,7 +32,7 @@ class ModelKey:
     expanded-checkpoint ``.npz`` (empty = paper initialisation), and
     ``precision`` selects the deployed arithmetic: ``"fp32"`` or ``"int8"``
     (weights-only post-training quantization via
-    :func:`repro.deploy.quantize_sesr`).
+    :func:`repro.deploy.quantize_sesr`, SESR models only).
     """
 
     name: str = "M5"
@@ -83,7 +83,8 @@ class ModelRegistry:
 
         The build (load → collapse → quantize) runs under the registry
         lock: concurrent first requests for the same key block instead of
-        collapsing twice.
+        collapsing twice.  ``int8`` on a model that is not SESR raises
+        :class:`ValueError`.
         """
         model = self._models.get(key)
         if model is not None:
@@ -119,8 +120,14 @@ class ModelRegistry:
             # FSRCNN has no linear blocks to collapse; deploy it as-is.
             deployed = trained
         if key.precision == "int8":
+            from ..core.sesr import CollapsedSESR
             from ..deploy import quantize_sesr
 
+            if not isinstance(deployed, CollapsedSESR):
+                raise ValueError(
+                    f"precision 'int8' requires a SESR model, got "
+                    f"{key.name!r}"
+                )
             deployed = quantize_sesr(deployed)
         deployed.eval()
         return deployed
@@ -131,9 +138,9 @@ class ModelRegistry:
         This is the serving plan cache: capture → optimise → plan runs
         once per key; every engine/worker thereafter executes the same
         :class:`~repro.compile.CompiledModel` (its per-shape arenas are
-        thread-local, so sharing is safe).  Unsupported models raise
-        :class:`~repro.compile.CaptureError` — callers fall back to
-        :meth:`get`.
+        thread-local, so sharing is safe).  Every key :meth:`get` can
+        build compiles; a model the compiler cannot capture raises
+        :class:`~repro.compile.CaptureError`.
         """
         compiled = self._compiled.get(key)
         if compiled is not None:

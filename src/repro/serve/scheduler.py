@@ -8,10 +8,10 @@ engine already amortises that via tile fan-out; this module amortises it
 case, where each request is often a single tile) coalesce into one
 forward pass instead of each paying full freight.
 
-:class:`BatchScheduler` replaces the engine's plain FIFO queue.  Workers
-ask it for work and receive a *batch*: a list of :class:`TileJob` whose
-tiles all share one ``(ModelKey, halo-shape)`` group and therefore stack
-into a single im2col conv call per layer (executed bit-exactly — see
+:class:`BatchScheduler` is the engine's work queue.  Workers ask it for
+work and receive a *batch*: a list of :class:`TileJob` whose tiles all
+share one ``(ModelKey, halo-shape)`` group and therefore stack into a
+single im2col conv call per layer (executed bit-exactly — see
 ``CompiledModel.run(exact_batch=True)``).
 
 Dispatch policy
@@ -21,7 +21,7 @@ A group's jobs are dispatched when any of:
 * the group holds ``max_batch`` jobs (a full batch),
 * its oldest job has waited ``window`` seconds (bounded queueing delay),
 * the window is zero (coalescing disabled — every job dispatches
-  immediately, singleton, preserving the pre-batching engine exactly), or
+  immediately and alone), or
 * the scheduler is closed (drain fast, never strand work).
 
 **Fair share.**  Within a group, jobs are kept in per-request FIFO lanes
@@ -30,11 +30,6 @@ request contributes at most ⌈max_batch / lanes⌉ tiles to each batch and
 a one-tile request never waits behind a giant neighbour.  Across groups,
 the one whose head job is oldest dispatches first (global FIFO in
 arrival terms).
-
-Jobs marked non-batchable (legacy within-request micro-batch groups, or
-models without an exact batched path) bypass the window entirely and
-dispatch alone, in arrival order, ahead of batchable work of the same
-age — they have already been grouped or cannot benefit from waiting.
 """
 
 from __future__ import annotations
@@ -48,24 +43,20 @@ __all__ = ["BatchScheduler", "TileJob"]
 
 
 class TileJob:
-    """One unit of worker work: tile spec(s) of one in-flight request.
+    """One unit of worker work: one tile of one in-flight request.
 
-    ``specs`` is usually a single :class:`~repro.serve.engine.TileSpec`;
-    legacy micro-batch jobs carry several (and are never re-coalesced).
-    ``group`` identifies the batchable shape class — the engine uses
-    ``(model key, halo shape)`` — and ``request`` is opaque to the
+    ``spec`` is a :class:`~repro.serve.engine.TileSpec`.  ``group``
+    identifies the shape class whose jobs may share a batch — the engine
+    uses ``(model key, halo shape)`` — and ``request`` is opaque to the
     scheduler except for fair-share identity.
     """
 
-    __slots__ = ("request", "specs", "group", "batchable", "seq", "enqueued")
+    __slots__ = ("request", "spec", "group", "enqueued")
 
-    def __init__(self, request, specs, group: Hashable = None,
-                 batchable: bool = True) -> None:
+    def __init__(self, request, spec, group: Hashable = None) -> None:
         self.request = request
-        self.specs = list(specs)
+        self.spec = spec
         self.group = group
-        self.batchable = batchable and group is not None
-        self.seq = 0          # assigned by the scheduler
         self.enqueued = 0.0   # assigned by the scheduler
 
 
@@ -80,16 +71,13 @@ class _Group:
         self.lanes: "OrderedDict[int, Deque[TileJob]]" = OrderedDict()
         self.size = 0
 
-    def add(self, job: TileJob, front: bool = False) -> None:
+    def add(self, job: TileJob) -> None:
         rid = id(job.request)
         lane = self.lanes.get(rid)
         if lane is None:
             lane = deque()
             self.lanes[rid] = lane
-        if front:
-            lane.appendleft(job)
-        else:
-            lane.append(job)
+        lane.append(job)
         self.size += 1
 
     def oldest(self) -> float:
@@ -132,8 +120,6 @@ class BatchScheduler:
         self._clock = clock
         self._cond = threading.Condition()
         self._groups: "OrderedDict[Hashable, _Group]" = OrderedDict()
-        self._express: Deque[TileJob] = deque()   # non-batchable, FIFO
-        self._seq = 0
         self._depth = 0
         self._closed = False
 
@@ -143,36 +129,14 @@ class BatchScheduler:
     def put(self, job: TileJob) -> None:
         """Enqueue one job (accepted even while draining after close)."""
         with self._cond:
-            self._seq += 1
-            job.seq = self._seq
             job.enqueued = self._clock()
-            self._admit(job, front=False)
-            self._cond.notify_all()
-
-    def requeue(self, jobs: List[TileJob]) -> None:
-        """Hand back jobs a dying worker could not finish, at the front.
-
-        Original enqueue times are kept, so requeued work is already
-        past its window and dispatches to the next free worker.
-        """
-        with self._cond:
-            for job in reversed(jobs):
-                self._admit(job, front=True)
-            self._cond.notify_all()
-
-    def _admit(self, job: TileJob, front: bool) -> None:
-        if job.batchable:
             group = self._groups.get(job.group)
             if group is None:
                 group = _Group()
                 self._groups[job.group] = group
-            group.add(job, front=front)
-        else:
-            if front:
-                self._express.appendleft(job)
-            else:
-                self._express.append(job)
-        self._depth += 1
+            group.add(job)
+            self._depth += 1
+            self._cond.notify_all()
 
     # ------------------------------------------------------------------ #
     # consumer side
@@ -186,10 +150,6 @@ class BatchScheduler:
         deadline = None if timeout is None else self._clock() + timeout
         with self._cond:
             while True:
-                if self._express:
-                    job = self._express.popleft()
-                    self._depth -= 1
-                    return [job]
                 batch, next_ready = self._try_assemble()
                 if batch is not None:
                     return batch
@@ -230,8 +190,8 @@ class BatchScheduler:
         if best_key is None:
             return None, next_ready
         group = self._groups[best_key]
-        # Window 0 pins the legacy contract: one job per dispatch, strict
-        # arrival order, no coalescing even under backlog.
+        # Window 0 means no coalescing: one job per dispatch, strict
+        # arrival order, even under backlog.
         limit = 1 if self.window == 0.0 else self.max_batch
         batch = group.take(limit)
         if group.size == 0:
@@ -252,8 +212,7 @@ class BatchScheduler:
     def drain(self) -> List[TileJob]:
         """Remove and return every pending job (abrupt shutdown)."""
         with self._cond:
-            jobs = list(self._express)
-            self._express.clear()
+            jobs: List[TileJob] = []
             for group in self._groups.values():
                 while group.size:
                     jobs.extend(group.take(group.size))
@@ -267,6 +226,6 @@ class BatchScheduler:
         return self._closed
 
     def depth(self) -> int:
-        """Jobs currently queued (all groups + express lane)."""
+        """Jobs currently queued, across all groups."""
         with self._cond:
             return self._depth

@@ -4,8 +4,8 @@ import threading
 
 import numpy as np
 
-from repro.cli import main
-from repro.compile import CaptureError, CompiledModel
+from repro.cli import _build_model, main
+from repro.compile import CompiledModel
 from repro.datasets import load_image, save_image
 from repro.serve import (
     EngineConfig,
@@ -13,6 +13,7 @@ from repro.serve import (
     ModelKey,
     ModelRegistry,
 )
+from repro.train import predict_image
 
 KEY = ModelKey(name="M3", scale=2)
 
@@ -73,50 +74,11 @@ class TestEngineCompiledDefault:
             registry, KEY, config=EngineConfig(workers=2, tile=16),
         )
         try:
-            assert engine.compiled and not engine.compile_fallback
             assert isinstance(engine.model, CompiledModel)
-            config = engine.stats()["config"]
-            assert config["compiled"] is True
-            assert config["compile_fallback"] is False
-        finally:
-            engine.shutdown()
-
-    def test_no_compile_engine_matches_bitwise(self):
-        registry = ModelRegistry()
-        rng = np.random.default_rng(0)
-        img = rng.random((24, 20)).astype(np.float32)
-        compiled = InferenceEngine(
-            registry, KEY,
-            config=EngineConfig(workers=2, tile=16, cache_size=0),
-        )
-        eager = InferenceEngine(
-            registry, KEY,
-            config=EngineConfig(workers=2, tile=16, cache_size=0,
-                                compiled=False),
-        )
-        try:
-            assert not eager.compiled
-            assert not isinstance(eager.model, CompiledModel)
-            assert np.array_equal(compiled.upscale(img), eager.upscale(img))
-        finally:
-            compiled.shutdown()
-            eager.shutdown()
-
-    def test_capture_error_falls_back_to_eager(self, monkeypatch):
-        def boom(self, key):
-            raise CaptureError("unsupported")
-
-        monkeypatch.setattr(ModelRegistry, "get_compiled", boom)
-        registry = ModelRegistry()
-        engine = InferenceEngine(
-            registry, KEY, config=EngineConfig(workers=2, tile=16),
-        )
-        try:
-            assert engine.compile_fallback and not engine.compiled
-            assert not isinstance(engine.model, CompiledModel)
-            rng = np.random.default_rng(1)
-            out = engine.upscale(rng.random((16, 16)).astype(np.float32))
-            assert out.shape == (32, 32)
+            assert engine.model is registry.get_compiled(KEY)
+            assert engine.stats()["config"]["halo"] == (
+                engine.model.receptive_radius
+            )
         finally:
             engine.shutdown()
 
@@ -145,7 +107,8 @@ class TestCompileCLI:
                      "--precision", "int8"]) == 2
         assert "requires a SESR model" in capsys.readouterr().err
 
-    def test_upscale_no_compile_flag_is_byte_equal(self, tmp_path, capsys):
+    def test_upscale_matches_the_eager_collapsed_model(self, tmp_path,
+                                                       capsys):
         rng = np.random.default_rng(2)
         src = tmp_path / "in.pgm"
         save_image(str(src), rng.random((20, 24)).astype(np.float32))
@@ -153,7 +116,8 @@ class TestCompileCLI:
         out_e = tmp_path / "e.pgm"
         assert main(["upscale", "--model", "M3", "--input", str(src),
                      "--output", str(out_c)]) == 0
-        assert main(["upscale", "--model", "M3", "--input", str(src),
-                     "--output", str(out_e), "--no-compile"]) == 0
-        assert np.array_equal(load_image(str(out_c)),
-                              load_image(str(out_e)))
+        # The oracle: the eager collapsed network on the same decoded
+        # input, written through the same save_image.
+        eager = _build_model("M3", 2).collapse()
+        save_image(str(out_e), predict_image(eager, load_image(str(src))))
+        assert out_c.read_bytes() == out_e.read_bytes()

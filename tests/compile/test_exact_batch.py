@@ -65,8 +65,8 @@ def test_exact_batch_matches_predict_image():
 
 
 def test_blas_exact_mode_pays_one_gemm_per_sample():
-    """Documents the cost the blocked kernel removes: exact mode under
-    blas multiplies GEMM count by the batch size."""
+    """Documents what exactness costs: exact mode issues one BLAS GEMM
+    per sample, so the GEMM count grows with the batch size."""
     compiled = compile_model(SESR.from_name("M5", scale=2).collapse())
     rng = np.random.default_rng(4)
     batch = rng.random((4, 20, 20, 1)).astype(np.float32)

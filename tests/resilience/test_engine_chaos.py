@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.datasets.degradation import bicubic_upscale
-from repro.resilience import CircuitBreaker, FaultInjector, RetryPolicy
+from repro.deploy import tiled_upscale
+from repro.resilience import CircuitBreaker, FaultInjector
 from repro.serve import (
     BreakerOpen,
     EngineConfig,
@@ -26,9 +27,6 @@ from repro.train import predict_image
 pytestmark = pytest.mark.chaos
 
 KEY = ModelKey(name="M3", scale=2)
-
-FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001, jitter=0.0)
-NO_RETRY = RetryPolicy(max_attempts=1, base_delay=0.0, jitter=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -60,25 +58,29 @@ def degraded_reference(img, scale=2):
 
 
 class TestTransientFaults:
-    def test_retries_absorb_transient_faults_bit_exactly(self, registry):
-        img = image(0)
-        inj = FaultInjector(fail_first=2)
-        with make_engine(registry, retry=FAST_RETRY, fault_injector=inj) as eng:
-            result = eng.upscale_ex(img, timeout=30.0)
-            ref = predict_image(eng.model, img)
+    def test_a_failed_tile_fails_only_its_own_request(self, registry):
+        # A 40x40 frame at tile 16 is nine tile jobs; the first one
+        # raises, so that request fails, and the next one is exact.
+        inj = FaultInjector(fail_first=1)
+        first, second = image(5, (40, 40)), image(6, (40, 40))
+        with make_engine(registry, workers=1, tile=16,
+                         fault_injector=inj) as eng:
+            with pytest.raises(EngineError, match="injected tile fault"):
+                eng.upscale(first, timeout=30.0)
+            out = eng.upscale(second, timeout=30.0)
+            ref = tiled_upscale(eng.model, second, 2, tile=(16, 16))
             snap = eng.stats()
-        assert not result.degraded
-        np.testing.assert_array_equal(result.image, ref)
-        assert snap["counters"]["engine.tile_retries"] == 2
+        np.testing.assert_array_equal(out, ref)
+        assert snap["counters"]["engine.requests_error"] == 1
         assert snap["counters"]["engine.requests_ok"] == 1
-        assert inj.stats()["faults"] == 2
+        assert inj.stats()["faults"] == 1
 
     def test_seeded_fail_rate_is_survivable(self, registry):
-        # 30% per-attempt fault rate, 3 attempts per tile: the seeded
-        # schedule is fixed, so this either passes always or never.
+        # 30% per-tile fault rate: the seeded schedule is fixed, so this
+        # either passes always or never.
         inj = FaultInjector(seed=7, fail_rate=0.3)
         imgs = [image(i) for i in range(4)]
-        with make_engine(registry, retry=FAST_RETRY, fault_injector=inj,
+        with make_engine(registry, fault_injector=inj,
                          degraded_mode=True) as eng:
             results = [eng.upscale_ex(im, timeout=30.0) for im in imgs]
             snap = eng.stats()
@@ -91,7 +93,7 @@ class TestPersistentFaults:
     def test_degraded_mode_serves_bicubic_and_opens_breaker(self, registry):
         inj = FaultInjector(persistent=True)
         breaker = CircuitBreaker(failure_threshold=2, cooldown=60.0)
-        with make_engine(registry, retry=NO_RETRY, fault_injector=inj,
+        with make_engine(registry, fault_injector=inj,
                          breaker=breaker, degraded_mode=True) as eng:
             imgs = [image(i) for i in range(3)]
             results = [eng.upscale_ex(im, timeout=30.0) for im in imgs]
@@ -100,8 +102,8 @@ class TestPersistentFaults:
         for im, res in zip(imgs, results):
             assert res.degraded
             np.testing.assert_array_equal(res.image, degraded_reference(im))
-        # Requests 1-2 exhaust retries (breaker trips at the 2nd); request
-        # 3 is short-circuited without ever touching the model.
+        # Requests 1-2 fail (breaker trips at the 2nd); request 3 is
+        # short-circuited without ever touching the model.
         assert results[2].reason == "circuit breaker open"
         assert snap["breaker"]["state"] == "open"
         assert snap["counters"]["engine.requests_error"] == 2
@@ -113,7 +115,7 @@ class TestPersistentFaults:
     def test_degraded_outputs_are_never_cached(self, registry):
         img = image(1)
         inj = FaultInjector(fail_first=1)
-        with make_engine(registry, retry=NO_RETRY, fault_injector=inj,
+        with make_engine(registry, fault_injector=inj,
                          degraded_mode=True, cache_size=8) as eng:
             first = eng.upscale_ex(img, timeout=30.0)
             second = eng.upscale_ex(img, timeout=30.0)
@@ -124,7 +126,7 @@ class TestPersistentFaults:
     def test_without_degraded_mode_failures_raise(self, registry):
         inj = FaultInjector(persistent=True)
         breaker = CircuitBreaker(failure_threshold=1, cooldown=60.0)
-        with make_engine(registry, retry=NO_RETRY, fault_injector=inj,
+        with make_engine(registry, fault_injector=inj,
                          breaker=breaker) as eng:
             with pytest.raises(EngineError, match="injected tile fault"):
                 eng.upscale(image(0), timeout=30.0)
@@ -138,7 +140,7 @@ class TestBreakerRecovery:
     def test_half_open_probe_success_closes_breaker(self, registry):
         inj = FaultInjector(fail_first=2)
         breaker = CircuitBreaker(failure_threshold=2, cooldown=0.05)
-        with make_engine(registry, retry=NO_RETRY, fault_injector=inj,
+        with make_engine(registry, fault_injector=inj,
                          breaker=breaker, degraded_mode=True) as eng:
             a = eng.upscale_ex(image(0), timeout=30.0)
             b = eng.upscale_ex(image(1), timeout=30.0)
@@ -158,46 +160,3 @@ class TestBreakerRecovery:
             "closed": 1, "open": 1, "half_open": 1,
         }
         assert snap["counters"]["engine.breaker_to_closed"] == 1
-
-
-class TestWorkerSupervision:
-    def test_worker_death_requeues_job_and_respawns(self, registry):
-        img = image(3)
-        inj = FaultInjector(kill_on_calls={1})
-        with make_engine(registry, workers=1, fault_injector=inj,
-                         supervise_interval=0.05) as eng:
-            result = eng.upscale_ex(img, timeout=30.0)
-            ref = predict_image(eng.model, img)
-            snap = eng.stats()
-        assert not result.degraded
-        np.testing.assert_array_equal(result.image, ref)
-        assert snap["counters"]["engine.worker_deaths"] == 1
-        assert snap["counters"]["engine.worker_respawns"] >= 1
-        assert inj.stats()["kills"] == 1
-
-    def test_wedged_worker_is_retired_and_replaced(self, registry):
-        inj = FaultInjector(latency=0.5, latency_every=1)
-        with make_engine(registry, workers=1, fault_injector=inj,
-                         supervise_interval=0.05, wedge_timeout=0.1) as eng:
-            result = eng.upscale_ex(image(4), timeout=30.0)
-            # Give the supervisor a beat to see the busy heartbeat.
-            deadline = time.monotonic() + 5.0
-            while (eng.stats()["counters"].get("engine.workers_wedged", 0) < 1
-                   and time.monotonic() < deadline):
-                time.sleep(0.02)
-            snap = eng.stats()
-        assert not result.degraded  # the slow request still completed
-        assert snap["counters"]["engine.workers_wedged"] >= 1
-        assert snap["counters"]["engine.worker_respawns"] >= 1
-
-    def test_pool_survives_repeated_deaths(self, registry):
-        # Three kills spread across the schedule; every request completes.
-        inj = FaultInjector(kill_on_calls={1, 3, 5})
-        with make_engine(registry, workers=2, fault_injector=inj,
-                         supervise_interval=0.05) as eng:
-            for i in range(4):
-                out = eng.upscale(image(10 + i), timeout=30.0)
-                assert out.shape == (40, 40)
-            snap = eng.stats()
-        assert snap["counters"]["engine.worker_deaths"] == 3
-        assert snap["counters"]["engine.requests_ok"] == 4

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.resilience import FaultInjector, InjectedFault, WorkerDeath
+from repro.resilience import FaultInjector, InjectedFault
 
 pytestmark = pytest.mark.chaos
 
 
 def _schedule(inj, n=30):
-    """Record which of ``n`` calls fault (F), kill (K), or pass (.)."""
+    """Record which of ``n`` calls fault (F) or pass (.)."""
     out = []
     for _ in range(n):
         try:
@@ -16,15 +16,13 @@ def _schedule(inj, n=30):
             out.append(".")
         except InjectedFault:
             out.append("F")
-        except WorkerDeath:
-            out.append("K")
     return "".join(out)
 
 
 def test_fail_first_faults_exactly_n_calls():
     inj = FaultInjector(fail_first=3)
     assert _schedule(inj, 6) == "FFF..."
-    assert inj.stats() == {"calls": 6, "faults": 3, "kills": 0, "delays": 0}
+    assert inj.stats() == {"calls": 6, "faults": 3, "delays": 0}
 
 
 def test_persistent_faults_every_call():
@@ -41,14 +39,8 @@ def test_fail_rate_schedule_is_seed_reproducible():
     assert "F" in a and "." in a
 
 
-def test_kill_on_calls_raises_worker_death_at_exact_indices():
-    inj = FaultInjector(kill_on_calls={2, 4})
-    assert _schedule(inj, 5) == ".K.K."
-    assert inj.stats()["kills"] == 2
-
-
-def test_worker_death_is_not_an_exception():
-    assert not issubclass(WorkerDeath, Exception)
+def test_injected_fault_is_an_ordinary_exception():
+    # The engine's batch path catches Exception to fall back to singles.
     assert issubclass(InjectedFault, Exception)
 
 

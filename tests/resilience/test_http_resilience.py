@@ -16,7 +16,7 @@ import pytest
 
 from repro.cli import _install_shutdown_handlers
 from repro.datasets import decode_netpbm, encode_netpbm
-from repro.resilience import FaultInjector, RetryPolicy
+from repro.resilience import FaultInjector
 from repro.serve import (
     EngineConfig,
     InferenceEngine,
@@ -126,9 +126,7 @@ class TestDegradedHeader:
         engine = InferenceEngine(
             ModelRegistry(), KEY,
             config=EngineConfig(
-                workers=1, tile=64, cache_size=0,
-                retry=RetryPolicy(max_attempts=1, base_delay=0.0),
-                degraded_mode=True,
+                workers=1, tile=64, cache_size=0, degraded_mode=True,
             ),
             fault_injector=FaultInjector(persistent=True),
         )

@@ -59,7 +59,7 @@ def _concurrent_upscale(engine, images):
 
 
 BATCHED = EngineConfig(
-    workers=2, tile=32, cache_size=0, supervise=False,
+    workers=2, tile=32, cache_size=0,
     batch_window_ms=25.0, max_batch=8,
 )
 

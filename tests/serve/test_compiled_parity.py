@@ -1,8 +1,9 @@
 """Serving parity: compiled plans must be invisible to HTTP clients.
 
-``POST /v1/upscale`` bytes are pinned identical with and without the plan
-cache, in both precisions, and the degraded (bicubic) fallback is shown to
-bypass the compiled executor entirely.
+``POST /v1/upscale`` bytes are pinned identical to the eager collapsed
+network tiled the same way (the oracle), in both precisions, and the
+degraded (bicubic) fallback is shown to bypass the compiled executor
+entirely.
 """
 
 import threading
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.compile import CompiledModel
-from repro.datasets import encode_netpbm
+from repro.datasets import decode_netpbm, encode_netpbm
+from repro.deploy import tiled_upscale
 from repro.resilience import CircuitBreaker
 from repro.serve import (
     EngineConfig,
@@ -39,32 +41,31 @@ def _post(srv, body):
 
 
 @pytest.fixture(scope="module", params=["fp32", "int8"])
-def server_pair(request):
+def served(request):
     registry = ModelRegistry()
     key = ModelKey(name="M3", scale=2, precision=request.param)
-    engines = [
-        InferenceEngine(registry, key, config=EngineConfig(
-            workers=2, tile=16, cache_size=0, compiled=compiled))
-        for compiled in (True, False)
-    ]
-    pairs = [_serve(e) for e in engines]
-    yield [srv for srv, _ in pairs]
-    for (srv, thread), engine in zip(pairs, engines):
-        srv.close()
-        thread.join(timeout=5)
-        engine.shutdown()
+    engine = InferenceEngine(registry, key, config=EngineConfig(
+        workers=2, tile=16, cache_size=0))
+    srv, thread = _serve(engine)
+    yield srv, registry.get(key)
+    srv.close()
+    thread.join(timeout=5)
+    engine.shutdown()
 
 
 class TestCompiledHTTPParity:
-    def test_upscale_bytes_identical_compiled_vs_eager(self, server_pair):
-        compiled_srv, eager_srv = server_pair
+    def test_upscale_bytes_identical_compiled_vs_eager(self, served):
+        srv, eager = served
         rng = np.random.default_rng(0)
         body = encode_netpbm(rng.random((24, 20)).astype(np.float32))
-        with _post(compiled_srv, body) as r1:
+        with _post(srv, body) as r1:
             compiled_bytes = r1.read()
             assert r1.headers["X-Degraded"] == "false"
-        with _post(eager_srv, body) as r2:
-            eager_bytes = r2.read()
+        # The server sees the 8-bit decode of the wire payload.
+        img = decode_netpbm(body)
+        eager_bytes = encode_netpbm(
+            tiled_upscale(eager, img, 2, tile=(16, 16))
+        )
         assert compiled_bytes == eager_bytes
 
 

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro.resilience import RetryPolicy
 from repro.serve import EngineConfig, InferenceEngine, ModelKey, ModelRegistry
 
 
@@ -29,6 +28,16 @@ def test_defaults_are_valid_and_frozen():
         cfg.workers = 8
 
 
+def test_field_names_are_pinned():
+    """Every serving knob is a reviewed decision: adding or removing one
+    must change this set."""
+    assert {f.name for f in dataclasses.fields(EngineConfig)} == {
+        "workers", "tile", "max_batch", "batch_window_ms", "cache_size",
+        "max_pending", "default_timeout", "breaker_threshold",
+        "breaker_cooldown", "degraded_mode",
+    }
+
+
 def test_tile_pair_normalisation():
     assert EngineConfig(tile=(48, 64)).tile == (48, 64)
     assert EngineConfig(tile=[32, 32]).tile == (32, 32)
@@ -39,17 +48,13 @@ def test_tile_pair_normalisation():
     {"tile": 0},
     {"tile": (8, 0)},
     {"tile": (8, 8, 8)},
-    {"halo": -1},
     {"max_batch": 0},
     {"batch_window_ms": -1.0},
     {"cache_size": -1},
     {"max_pending": 0},
     {"default_timeout": 0.0},
-    {"retry": "nope"},
     {"breaker_threshold": 0},
     {"breaker_cooldown": -1.0},
-    {"supervise_interval": 0.0},
-    {"wedge_timeout": 0.0},
 ])
 def test_validation_rejects(bad):
     with pytest.raises((ValueError, TypeError)):
@@ -65,10 +70,10 @@ def test_replace_revalidates():
 
 
 def test_to_dict_is_json_serialisable():
-    cfg = EngineConfig(tile=48, retry=RetryPolicy(max_attempts=2))
+    cfg = EngineConfig(tile=48, breaker_cooldown=2.5)
     d = json.loads(json.dumps(cfg.to_dict()))
     assert d["tile"] == [48, 48]
-    assert d["retry"]["max_attempts"] == 2
+    assert d["breaker_cooldown"] == 2.5
 
 
 def test_describe_mentions_every_knob_group():
@@ -81,7 +86,7 @@ def test_describe_mentions_every_knob_group():
 # engine construction
 # --------------------------------------------------------------------- #
 def test_engine_accepts_config(registry):
-    cfg = EngineConfig(workers=1, tile=32, cache_size=0, supervise=False)
+    cfg = EngineConfig(workers=1, tile=32, cache_size=0)
     eng = InferenceEngine(registry, KEY, config=cfg)
     try:
         assert eng.config is cfg
@@ -97,13 +102,13 @@ def test_engine_accepts_config(registry):
 @pytest.mark.parametrize("legacy", [
     {"workers": 2},
     {"tile": 32},
-    {"retry": RetryPolicy(max_attempts=2)},
+    {"retry": 3},
     {"compiled": False},
-    {"wrokers": 2},  # typos fail identically — no shim to catch them
+    {"wrokers": 2},  # typos fail identically
 ])
 def test_legacy_kwargs_raise_type_error(registry, legacy):
-    """The two-release deprecation shim is gone: kwarg-style construction
-    is a plain TypeError now, like any unknown keyword argument."""
+    """Configuration goes through ``config=`` only: loose knob keywords
+    are a plain TypeError, like any unknown keyword argument."""
     with pytest.raises(TypeError):
         InferenceEngine(registry, KEY, **legacy)
 

@@ -96,10 +96,10 @@ def test_a_constructor_that_raises_registers_nothing(fake_pool):
     pool, lib = fake_pool
 
     class Registry:
-        def get(self, key):
+        def get_compiled(self, key):
             return object()  # not a Module: no receptive field to halo
 
-    cfg = EngineConfig(workers=2, compiled=False)
+    cfg = EngineConfig(workers=2)
     with pytest.raises(TypeError):
         InferenceEngine(Registry(), KEY, config=cfg)
     assert pool.live_workers == 0 and lib.threads == 7

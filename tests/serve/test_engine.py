@@ -1,4 +1,4 @@
-"""Engine tests: bit-identity, micro-batching, timeout/overload/shutdown."""
+"""Engine tests: bit-identity, timeout/overload/shutdown."""
 
 import threading
 import time
@@ -17,7 +17,6 @@ from repro.serve import (
     ModelRegistry,
     RequestTimeout,
     plan_tiles,
-    predict_batch,
 )
 from repro.train import predict_image
 
@@ -111,25 +110,6 @@ class TestBitIdentity:
             out = eng.upscale(img)
             ref = predict_image(eng.model, img)
         assert np.allclose(out, ref, atol=1e-6)
-
-    def test_microbatch_close_to_exact(self, registry):
-        rng = np.random.default_rng(2)
-        img = rng.random((64, 64)).astype(np.float32)
-        with make_engine(registry, cache_size=0) as exact, \
-                make_engine(registry, cache_size=0, microbatch=True) as micro:
-            a = exact.upscale(img)
-            b = micro.upscale(img)
-            assert micro.telemetry.counter("engine.microbatches").value > 0
-        assert np.allclose(a, b, atol=1e-5)
-
-    def test_predict_batch_matches_per_image(self, registry):
-        model = registry.get(KEY)
-        rng = np.random.default_rng(3)
-        patches = rng.random((4, 20, 20, 1)).astype(np.float32)
-        batched = predict_batch(model, patches)
-        for i in range(4):
-            single = predict_image(model, patches[i, :, :, 0])
-            assert np.allclose(batched[i], single, atol=1e-6)
 
     def test_default_halo_is_receptive_radius(self, registry):
         with make_engine(registry) as eng:

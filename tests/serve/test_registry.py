@@ -6,10 +6,13 @@ import threading
 import numpy as np
 import pytest
 
+from repro import zoo
+from repro.compile import CompiledModel
 from repro.core.sesr import CollapsedSESR
 from repro.deploy import QuantizedSESR
 from repro.nn import save_state
 from repro.serve import ModelKey, ModelRegistry, build_training_model
+from repro.serve.registry import PRECISIONS
 
 
 class TestModelKey:
@@ -103,3 +106,18 @@ class TestCheckpointLoading:
         assert np.array_equal(
             loaded.first.weight.data, trained.collapse().first.weight.data
         )
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("scale", (2, 4))
+@pytest.mark.parametrize("name", zoo.factory_names())
+def test_every_deployable_key_compiles_or_is_rejected_cleanly(
+        name, scale, precision):
+    """Every key the registry accepts compiles; int8 on a non-SESR model
+    is the one rejection, with the message ``repro compile`` gives."""
+    key = ModelKey(name, scale, precision=precision)
+    if precision == "int8" and not name.startswith("SESR-"):
+        with pytest.raises(ValueError, match="requires a SESR model"):
+            ModelRegistry().get_compiled(key)
+    else:
+        assert isinstance(ModelRegistry().get_compiled(key), CompiledModel)

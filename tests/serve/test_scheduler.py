@@ -1,4 +1,4 @@
-"""BatchScheduler policy tests: windows, fair share, legacy pinning.
+"""BatchScheduler policy tests: windows, fair share, lifecycle.
 
 The scheduler takes an injectable clock, so every window policy here is
 tested deterministically — no sleeps, no timing flake.
@@ -19,12 +19,12 @@ class FakeClock:
         return self.now
 
 
-def job(request="r", group="g", batchable=True):
-    return TileJob(request, specs=["spec"], group=group, batchable=batchable)
+def job(request="r", group="g"):
+    return TileJob(request, "spec", group=group)
 
 
 # --------------------------------------------------------------------- #
-# window-zero: the legacy contract
+# window zero: no coalescing
 # --------------------------------------------------------------------- #
 def test_window_zero_dispatches_singletons_in_arrival_order():
     s = BatchScheduler(max_batch=8, window=0.0)
@@ -104,37 +104,9 @@ def test_fair_share_round_robin_across_requests():
     assert owners.count(giant) == 3
 
 
-def test_express_jobs_bypass_the_window():
-    clock = FakeClock()
-    s = BatchScheduler(max_batch=8, window=60.0, clock=clock)
-    s.put(job(request="b", group="g"))                 # batchable, waits
-    s.put(job(request="e", group=None, batchable=False))  # express
-    batch = s.get(timeout=0)
-    assert len(batch) == 1 and batch[0].request == "e"
-    assert s.get(timeout=0) is None  # batchable one still inside window
-
-
-def test_jobs_without_group_are_never_batchable():
-    assert not TileJob("r", ["s"], group=None, batchable=True).batchable
-
-
 # --------------------------------------------------------------------- #
-# requeue / lifecycle
+# lifecycle
 # --------------------------------------------------------------------- #
-def test_requeue_goes_to_front_and_is_immediately_ready():
-    clock = FakeClock()
-    s = BatchScheduler(max_batch=2, window=5.0, clock=clock)
-    first, second = job(request="a"), job(request="a")
-    s.put(first)
-    s.put(second)
-    batch = s.get(timeout=0)
-    assert batch == [first, second]
-    clock.now = 100.0
-    s.requeue(batch)  # dying worker hands work back
-    redo = s.get(timeout=0)
-    assert redo == [first, second]  # order preserved, past-window => ready
-
-
 def test_close_flushes_open_windows_then_returns_none():
     clock = FakeClock()
     s = BatchScheduler(max_batch=8, window=60.0, clock=clock)
@@ -149,7 +121,7 @@ def test_close_flushes_open_windows_then_returns_none():
 def test_drain_removes_everything():
     s = BatchScheduler(max_batch=8, window=60.0)
     jobs = [job(request=f"r{i}") for i in range(3)]
-    jobs.append(job(request="e", group=None, batchable=False))
+    jobs.append(job(request="e", group="other"))
     for j in jobs:
         s.put(j)
     assert s.depth() == 4

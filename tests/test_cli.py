@@ -1,5 +1,6 @@
 """CLI tests (in-process via repro.cli.main)."""
 
+import argparse
 import os
 
 import numpy as np
@@ -23,6 +24,31 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    @staticmethod
+    def options(command):
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return {opt for a in sub.choices[command]._actions
+                for opt in a.option_strings if opt not in ("-h", "--help")}
+
+    # Every flag is a reviewed decision: adding or removing one must
+    # change these sets.
+    def test_serve_option_set_is_pinned(self):
+        assert self.options("serve") == {
+            "--model", "--scale", "--seed", "--ckpt", "--host", "--port",
+            "--workers", "--tile", "--precision", "--cache-size",
+            "--queue-size", "--timeout", "--batch-window-ms", "--max-batch",
+            "--max-body-bytes", "--breaker-threshold", "--breaker-cooldown",
+            "--no-degraded", "--verbose",
+        }
+
+    def test_upscale_option_set_is_pinned(self):
+        assert self.options("upscale") == {
+            "--model", "--scale", "--seed", "--ckpt", "--input", "--output",
+            "--tile", "--ensemble",
+        }
+
 
 class TestResolutionParsing:
     def test_valid_resolution(self):
@@ -45,6 +71,13 @@ class TestServeErrors:
         err = capsys.readouterr().err
         assert "unknown model 'NOPE'" in err
         assert "SESR-M5" in err  # the error lists what *is* deployable
+
+    def test_int8_on_a_non_sesr_model_is_a_clean_error(self, capsys):
+        assert main(["serve", "--model", "FSRCNN", "--precision", "int8",
+                     "--port", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro serve: error:")
+        assert "requires a SESR model" in err
 
 
 class TestServeFlags:
