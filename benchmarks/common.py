@@ -5,7 +5,9 @@ Quality benches train models under the §5.1 protocol scaled down for CPU
 (see :data:`BENCH_CONFIG`); the scale-down is uniform across models, so the
 *orderings* the paper reports are preserved while absolute PSNR differs
 (synthetic data, fewer steps).  Set ``REPRO_BENCH_FAST=1`` for a quick smoke
-pass of the whole harness.
+pass of the whole harness; its tables go to the gitignored
+``benchmarks/results-fast/`` (:func:`results_path`), so a smoke run never
+overwrites the committed full-size ``benchmarks/results/``.
 
 Trained models are cached per pytest session so benches that share a model
 (e.g. Table 1 and Table 2's ×2→×4 transfer) train it once.
@@ -23,6 +25,21 @@ from repro.train import ExperimentConfig, bicubic_baseline, run_experiment
 from repro.utils import format_table
 
 FAST = bool(int(os.environ.get("REPRO_BENCH_FAST", "0")))
+
+#: Where this run's tables, JSON and panels go: the committed ``results/``
+#: at full size, the gitignored ``results-fast/`` for FAST smoke runs.
+RESULTS_DIR = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)),
+    "results-fast" if FAST else "results",
+)
+
+
+def results_path(*parts: str) -> str:
+    """Path of a result file under :data:`RESULTS_DIR` (its directory is
+    created); every bench writes through this."""
+    path = os.path.join(RESULTS_DIR, *parts)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    return path
 
 #: suites evaluated by the quality benches (the paper's six datasets).
 SUITE_NAMES = ("set5", "set14", "bsd100", "urban100", "manga109", "div2k-val")
@@ -126,11 +143,9 @@ def quality_row(metrics: Dict[str, Dict[str, float]]) -> list:
 
 
 def emit(title: str, headers, rows, filename: str) -> str:
-    """Print a result table and persist it under benchmarks/results/."""
+    """Print a result table and persist it under :data:`RESULTS_DIR`."""
     text = format_table(headers, rows, title=title)
     print("\n" + text)
-    out_dir = os.path.join(os.path.dirname(__file__), "results")
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, filename), "w") as fh:
+    with open(results_path(filename), "w") as fh:
         fh.write(text + "\n")
     return text

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from common import FAST
+from common import FAST, results_path
 from repro.compile import compile_model
 from repro.core import SESR
 from repro.deploy import quantize_sesr
@@ -94,9 +94,7 @@ def test_compile_micro():
               f"(host: {os.cpu_count()} cores)",
     )
     print("\n" + text)
-    out_dir = os.path.join(os.path.dirname(__file__), "results")
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "compile_micro.json"), "w") as fh:
+    with open(results_path("compile_micro.json"), "w") as fh:
         json.dump(results, fh, indent=2)
         fh.write("\n")
 

@@ -20,7 +20,7 @@ import os
 import numpy as np
 import pytest
 
-from common import FAST, emit
+from common import FAST, RESULTS_DIR, emit, results_path
 from repro.core import SESR, FSRCNN
 from repro.datasets import bicubic_upscale, save_image
 from repro.metrics import psnr
@@ -37,9 +37,6 @@ def run_qualitative(cache):
     cache.get("SESR-M5", 2, lambda: SESR.from_name("M5", scale=2, seed=0))
     cache.get("SESR-M11", 2, lambda: SESR.from_name("M11", scale=2, seed=0))
 
-    out_dir = os.path.join(os.path.dirname(__file__), "results", "qualitative")
-    os.makedirs(out_dir, exist_ok=True)
-
     scores = {m: {"gms": [], "edge_psnr": [], "psnr": []} for m in MODELS}
     crops_per_suite = 1 if FAST else 3
     for suite_name in SUITES:
@@ -54,7 +51,8 @@ def run_qualitative(cache):
             for name, img in panels.items():
                 tag = name.replace(" ", "_").replace("(", "").replace(")", "")
                 save_image(
-                    os.path.join(out_dir, f"{suite_name}{idx}_{tag}.pgm"), img
+                    results_path("qualitative", f"{suite_name}{idx}_{tag}.pgm"),
+                    img,
                 )
             for model_name in MODELS:
                 img = panels.get(model_name)
@@ -80,7 +78,8 @@ def test_fig5_qualitative(benchmark, cache):
         ])
     emit(
         "Figs 5-8 (quantified): edge fidelity on one crop per suite "
-        f"{SUITES} — panels written to benchmarks/results/qualitative/",
+        f"{SUITES} — panels written to "
+        f"benchmarks/{os.path.basename(RESULTS_DIR)}/qualitative/",
         ["Model", "GMS (edges)", "edge-PSNR", "PSNR"],
         rows,
         "fig5_qualitative.txt",

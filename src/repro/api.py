@@ -19,6 +19,10 @@ Serving::
 ...     api.ModelRegistry(), api.ModelKey("M5", 2), config=config)
 >>> server = api.make_server(engine, port=8000)
 
+``load``, ``collapse`` and ``upscale`` are thin names over
+:mod:`repro.deploy.pipeline`, the one deploy path the CLI and the serving
+registry share (``load`` *is* :func:`repro.deploy.load`).
+
 Deeper machinery (custom training loops, the NAS searcher, the NPU
 estimator, chaos tooling) stays in its subsystem package; this module
 deliberately re-exports only the pieces whose signatures we keep stable.
@@ -31,11 +35,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .compile import compile_model
-from .core import FSRCNN, SESR
-from .datasets import rgb_to_ycbcr, ycbcr_to_rgb
-from .datasets.degradation import bicubic_upscale
-from .deploy import tiled_upscale
-from .nn import Module, load_state
+from .deploy import load, tiled_upscale, to_deployable, upscale_colour
+from .nn import Module
 from .serve import (
     EngineConfig,
     InferenceEngine,
@@ -58,32 +59,15 @@ __all__ = [
 ]
 
 
-def load(name: str = "M5", scale: int = 2, ckpt: str = "",
-         seed: int = 0) -> Module:
-    """Build a training-shaped model, optionally loading a checkpoint.
-
-    ``name`` is a SESR size (``M3``/``M5``/``M7``/``M11``/``XL``) or
-    ``FSRCNN``; ``ckpt`` is an ``.npz`` written by
-    :func:`repro.nn.save_state` (e.g. by ``repro.cli train``).
-    """
-    if name.upper() == "FSRCNN":
-        model: Module = FSRCNN(scale=scale, seed=seed)
-    else:
-        model = SESR.from_name(name, scale=scale, seed=seed)
-    if ckpt:
-        load_state(model, ckpt)
-    return model
-
-
 def collapse(model: Module) -> Module:
     """The deployable inference net: Algorithm 2, in eval mode.
 
     Models without a ``collapse`` method (FSRCNN and friends) pass
-    through unchanged — they are already inference-shaped.
+    through unchanged — they are already inference-shaped.  This is
+    :func:`repro.deploy.to_deployable` at fp32, the call the serving
+    registry makes.
     """
-    deployed = model.collapse() if hasattr(model, "collapse") else model
-    deployed.eval()
-    return deployed
+    return to_deployable(model)
 
 
 def upscale(
@@ -96,10 +80,11 @@ def upscale(
 
     Grey ``(H, W)`` inputs go straight through the model; colour
     ``(H, W, 3)`` inputs are super-resolved on the Y channel with
-    bicubic-upscaled chroma — the same pixels ``repro.cli upscale`` and
-    the HTTP server produce.  ``scale`` defaults to ``model.scale``;
-    ``tile`` switches to halo-exact tiled inference (identical bytes,
-    bounded memory) for large frames.
+    bicubic-upscaled chroma (:func:`repro.deploy.upscale_colour`, which
+    ``repro.cli upscale`` and the HTTP server call too, so all three give
+    the same pixels).  ``scale`` defaults to ``model.scale``; ``tile``
+    switches to halo-exact tiled inference (identical bytes, bounded
+    memory) for large frames.
     """
     if scale is None:
         scale = getattr(model, "scale", None)
@@ -107,7 +92,6 @@ def upscale(
             raise ValueError(
                 "model has no .scale attribute; pass scale= explicitly"
             )
-    image = np.asarray(image, dtype=np.float32)
 
     def run_y(y: np.ndarray) -> np.ndarray:
         if tile is not None:
@@ -115,14 +99,4 @@ def upscale(
             return tiled_upscale(model, y, scale, tile=t)
         return predict_image(model, y)
 
-    if image.ndim == 2:
-        return run_y(image)
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise ValueError(
-            f"expected (H, W) grey or (H, W, 3) colour, got {image.shape}"
-        )
-    ycbcr = rgb_to_ycbcr(image)
-    y_sr = run_y(np.ascontiguousarray(ycbcr[..., 0]))
-    cb = bicubic_upscale(ycbcr[..., 1], scale)
-    cr = bicubic_upscale(ycbcr[..., 2], scale)
-    return ycbcr_to_rgb(np.stack([y_sr, cb, cr], axis=2))
+    return upscale_colour(image, scale, run_y)

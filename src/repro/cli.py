@@ -41,6 +41,7 @@ docs/compiler.md)::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional
 
@@ -50,12 +51,28 @@ import numpy as np
 # ---------------------------------------------------------------------- #
 # helpers
 # ---------------------------------------------------------------------- #
-def _build_model(name: str, scale: int, seed: int = 0):
-    from .core import FSRCNN, SESR
+class _CommandError(Exception):
+    """A bad ``--model``/``--ckpt``/``--precision`` (or engine setting),
+    reported by :func:`main` as ``repro <cmd>: error: ...`` with exit 2."""
 
-    if name.upper() == "FSRCNN":
-        return FSRCNN(scale=scale, seed=seed)
-    return SESR.from_name(name, scale=scale, seed=seed)
+
+@contextlib.contextmanager
+def _reported():
+    """Report the deploy path's caller errors cleanly.
+
+    Wraps only the load/deploy (or engine construction) call: an unknown
+    model name, a missing, mismatched or unreadable checkpoint, int8 on a
+    model that is not SESR.  Any other exception keeps its traceback.
+    """
+    from .deploy.pipeline import LOAD_ERRORS
+
+    try:
+        yield
+    except LOAD_ERRORS as exc:
+        # KeyError's str() quotes its message; every other one is plain.
+        raise _CommandError(
+            exc.args[0] if isinstance(exc, KeyError) else exc
+        ) from exc
 
 
 def _resolution(text: str):
@@ -83,10 +100,12 @@ def _resolution(text: str):
 # ---------------------------------------------------------------------- #
 def cmd_train(args: argparse.Namespace) -> int:
     from .datasets import benchmark_suites
+    from .deploy import load
     from .nn import save_state
     from .train import ExperimentConfig, run_experiment
 
-    model = _build_model(args.model, args.scale, args.seed)
+    with _reported():
+        model = load(args.model, args.scale, seed=args.seed)
     config = ExperimentConfig(
         scale=args.scale, epochs=args.epochs, train_images=args.images,
         patch_size=args.patch, lr=args.lr, seed=args.seed,
@@ -109,13 +128,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     from .datasets import ImageFolderDataset, benchmark_suites
-    from .nn import load_state
+    from .deploy import load
     from .train import evaluate_model
     from .utils import format_table
 
-    model = _build_model(args.model, args.scale, args.seed)
-    if args.ckpt:
-        load_state(model, args.ckpt)
+    with _reported():
+        model = load(args.model, args.scale, args.ckpt, args.seed)
     if args.data:
         # Real images: a directory of PGM/PPM HR files.
         suites = {args.data: ImageFolderDataset(args.data, scale=args.scale)}
@@ -132,19 +150,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_upscale(args: argparse.Namespace) -> int:
     from .compile import compile_model
-    from .datasets import load_image, rgb_to_ycbcr, save_image, ycbcr_to_rgb
-    from .datasets.degradation import bicubic_upscale
-    from .deploy import self_ensemble, tiled_upscale
-    from .nn import load_state
+    from .datasets import load_image, save_image
+    from .deploy import (
+        load,
+        self_ensemble,
+        tiled_upscale,
+        to_deployable,
+        upscale_colour,
+    )
     from .train import predict_image
 
-    model = _build_model(args.model, args.scale, args.seed)
-    if args.ckpt:
-        load_state(model, args.ckpt)
-    # Collapse (exact, Algorithm 2) and run the compiled planned-buffer
-    # executor, which is bit-identical to the eager collapsed forward.
-    deployed = model.collapse() if hasattr(model, "collapse") else model
-    deployed.eval()
+    with _reported():
+        deployed = to_deployable(
+            load(args.model, args.scale, args.ckpt, args.seed)
+        )
+    # The compiled planned-buffer executor, bit-identical to the eager
+    # collapsed forward.
     model = compile_model(deployed)
     img = load_image(args.input)
 
@@ -156,55 +177,42 @@ def cmd_upscale(args: argparse.Namespace) -> int:
                                  tile=(args.tile, args.tile))
         return predict_image(model, y)
 
-    if img.ndim == 2:
-        out = run_y(img)
-    else:
-        # Paper protocol: super-resolve Y, bicubic-upscale chroma.
-        ycbcr = rgb_to_ycbcr(img)
-        y_sr = run_y(ycbcr[..., 0])
-        cb = bicubic_upscale(ycbcr[..., 1], args.scale)
-        cr = bicubic_upscale(ycbcr[..., 2], args.scale)
-        out = ycbcr_to_rgb(np.stack([y_sr, cb, cr], axis=2))
+    # Paper protocol: super-resolve Y, bicubic-upscale chroma.
+    out = upscale_colour(img, args.scale, run_y)
     save_image(args.output, out)
     print(f"{args.input} {img.shape[:2]} -> {args.output} {out.shape[:2]}")
     return 0
 
 
 def cmd_collapse(args: argparse.Namespace) -> int:
-    from .nn import load_state, save_state
+    from .deploy import load, to_deployable
+    from .nn import save_state
 
-    model = _build_model(args.model, args.scale, args.seed)
-    if args.ckpt:
-        load_state(model, args.ckpt)
-    collapsed = model.collapse()
-    save_state(collapsed, args.out)
+    with _reported():
+        model = load(args.model, args.scale, args.ckpt, args.seed)
+        deployed = to_deployable(model)
+    save_state(deployed, args.out)
+    # Conv weights without biases for collapsed SESR (the paper's
+    # convention); a model that does not collapse counts all parameters.
+    weights = getattr(deployed, "collapsed_num_parameters",
+                      deployed.num_parameters)()
     print(
         f"collapsed {args.model}: {model.num_parameters():,} training params "
-        f"-> {model.collapsed_num_parameters():,} inference weights "
-        f"({args.out})"
+        f"-> {weights:,} inference weights ({args.out})"
     )
     return 0
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
     from .compile import compile_model
-    from .nn import load_state
+    from .deploy import load, to_deployable
     from .utils import format_table
 
-    model = _build_model(args.model, args.scale, args.seed)
-    if args.ckpt:
-        load_state(model, args.ckpt)
-    if hasattr(model, "collapse"):
-        model = model.collapse()
-    if args.precision == "int8":
-        if not hasattr(model, "convs"):
-            print(f"repro compile: error: --precision int8 requires a SESR "
-                  f"model, got {args.model}", file=sys.stderr)
-            return 2
-        from .deploy import quantize_sesr
-
-        model = quantize_sesr(model)
-    model.eval()
+    with _reported():
+        model = to_deployable(
+            load(args.model, args.scale, args.ckpt, args.seed),
+            args.precision,
+        )
     compiled = compile_model(model, optimize=not args.no_optimize)
     graph = compiled.graph
 
@@ -287,37 +295,30 @@ def cmd_nas(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from .deploy import load, to_deployable
     from .nn import no_grad
     from .nn import Tensor as _Tensor
     from .obs import Profiler, profile
     from .utils import format_table
-
-    def build(mode: str):
-        if args.model.upper() == "FSRCNN":
-            return _build_model(args.model, args.scale, args.seed)
-        from .core import SESR
-
-        return SESR.from_name(
-            args.model, scale=args.scale, seed=args.seed, mode=mode
-        )
 
     def run(mode: str) -> Profiler:
         rng = np.random.default_rng(args.seed)
         x = rng.random((args.batch, args.size, args.size, 1))
         prof = Profiler()
         if mode == "deployed":
-            model = build("collapsed").collapse()
-            if args.precision == "int8":
-                from .deploy import quantize_sesr
-
-                model = quantize_sesr(model)
-            model.eval()
+            with _reported():
+                model = to_deployable(
+                    load(args.model, args.scale, seed=args.seed),
+                    args.precision,
+                )
             with profile(prof), no_grad():
                 for _ in range(args.repeats):
                     model(_Tensor(x))
         else:
             # Training-shaped forward (autograd on), the cost Fig. 3 plots.
-            model = build(mode)
+            with _reported():
+                model = load(args.model, args.scale, seed=args.seed,
+                             mode=mode)
             model.train()
             with profile(prof):
                 for _ in range(args.repeats):
@@ -388,14 +389,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ModelRegistry,
         make_server,
     )
-    from .train import CheckpointCorrupt
 
     registry = ModelRegistry(seed=args.seed)
     key = ModelKey(
         name=args.model, scale=args.scale, ckpt=args.ckpt,
         precision=args.precision,
     )
-    try:
+    with _reported():
         config = EngineConfig(
             workers=args.workers,
             tile=args.tile,
@@ -408,14 +408,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             breaker_cooldown=args.breaker_cooldown,
             degraded_mode=not args.no_degraded,
         )
-    except ValueError as exc:
-        print(f"repro serve: error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    try:
         engine = InferenceEngine(registry, key, config=config)
-    except (KeyError, ValueError, FileNotFoundError, CheckpointCorrupt) as exc:
-        print(f"repro serve: error: {exc.args[0]}", file=sys.stderr)
-        return 2
     server = make_server(
         engine, args.host, args.port, verbose=args.verbose,
         max_body_bytes=args.max_body_bytes,
@@ -453,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--model", default="M5",
-                       help="M3|M5|M7|M11|XL|FSRCNN (default M5)")
+                       help="a deployable zoo name or its short form: "
+                            "M3|M5|M7|M11|XL|FSRCNN (default M5)")
         p.add_argument("--scale", type=int, default=2, choices=(2, 4))
         p.add_argument("--seed", type=int, default=0)
 
@@ -590,7 +584,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _CommandError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

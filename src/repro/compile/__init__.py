@@ -13,10 +13,10 @@ capture → optimise → plan → execute
     :mod:`repro.hw` simulates (via :func:`to_layer_specs`), and the
     executor runs.
 :mod:`~repro.compile.passes`
-    A pass manager with bit-exact default passes (constant folding,
-    conv+activation fusion, residual-add fusion, dead-node elimination)
-    plus opt-in identity folding (Algorithm 2 on the IR) and int8
-    quant insertion.
+    A pass manager with bit-exact passes (constant folding,
+    conv+activation fusion, residual-add fusion, dead-node elimination).
+    Collapse and int8 happen before capture
+    (:func:`repro.deploy.to_deployable`), not as passes.
 :mod:`~repro.compile.planner`
     Liveness analysis + greedy interval colouring: run in a few reusable
     arenas instead of one allocation per op.
@@ -45,10 +45,8 @@ from .passes import (
     PassManager,
     eliminate_dead_nodes,
     fold_constants,
-    fold_identity_residual,
     fuse_conv_activation,
     fuse_residual_add,
-    make_quantize_pass,
 )
 from .planner import BufferPlan, plan_buffers
 
@@ -67,11 +65,9 @@ __all__ = [
     "compile_model",
     "eliminate_dead_nodes",
     "fold_constants",
-    "fold_identity_residual",
     "fsrcnn_ir",
     "fuse_conv_activation",
     "fuse_residual_add",
-    "make_quantize_pass",
     "plan_buffers",
     "receptive_radius",
     "sesr_ir",
@@ -79,20 +75,18 @@ __all__ = [
 ]
 
 
-def compile_model(model, *, optimize: bool = True,
-                  passes=None) -> CompiledModel:
+def compile_model(model, *, optimize: bool = True) -> CompiledModel:
     """Capture, optimise, plan, and wrap ``model`` for execution.
 
     ``optimize=False`` skips the pass pipeline (the unfused graph still
-    executes bit-identically — useful for debugging a pass);  ``passes``
-    overrides the default pipeline.  Raises
+    executes bit-identically — useful for debugging a pass).  Raises
     :class:`~repro.compile.capture.CaptureError` for unsupported models.
     """
     graph = capture(model)
     source = graph.name
     pass_log = []
     if optimize:
-        graph, pass_log = PassManager(passes).run(graph)
+        graph, pass_log = PassManager().run(graph)
     return CompiledModel(
         graph, plan_buffers(graph), pass_log=pass_log, source=source,
     )

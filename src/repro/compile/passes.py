@@ -22,12 +22,10 @@ buffer), never the float operations themselves:
   fuse, leaving SESR as a pure conv chain);
 * :func:`eliminate_dead_nodes` — drop nodes that cannot reach an output.
 
-:func:`fold_identity_residual` (Algorithm 2 at the IR level: rewrite
-``add(conv(x), x)`` as a single conv with ``W + I``) changes weight values,
-so float results drift at the last ulp — it is **opt-in** and
-tolerance-pinned rather than part of the default pipeline.
-:func:`make_quantize_pass` builds an opt-in pass inserting int8
-fake-quant, mirroring :func:`repro.deploy.quantize.quantize_sesr`.
+Algorithm 2 and int8 quantization are not passes: the compiler captures
+a model that :func:`repro.deploy.to_deployable` already collapsed (and
+quantized), so each has one implementation, in :mod:`repro.core.collapse`
+and :mod:`repro.deploy.quantize`.
 """
 
 from __future__ import annotations
@@ -225,92 +223,6 @@ def eliminate_dead_nodes(graph: Graph) -> int:
     for name in dead:
         graph.remove(name)
     return len(dead)
-
-
-# ---------------------------------------------------------------------- #
-# opt-in passes
-# ---------------------------------------------------------------------- #
-def fold_identity_residual(graph: Graph) -> int:
-    """Algorithm 2 at the IR level: ``add(conv(x), x)`` → conv with ``W+I``.
-
-    Adds the identity kernel to the conv weight and deletes the add.  The
-    result is mathematically equal but **not** bit-exact (float addition
-    reassociates), so this pass is opt-in and tolerance-pinned by tests.
-    Run it before the fusion passes — it matches standalone add nodes.
-    """
-    from ..core.collapse import identity_conv_rect
-
-    changes = 0
-    for name in list(graph.nodes):
-        node = graph.nodes.get(name)
-        if node is None or node.op != "add":
-            continue
-        consumers = graph.consumers()
-        for conv_name, other in (
-            (node.inputs[0], node.inputs[1]),
-            (node.inputs[1], node.inputs[0]),
-        ):
-            if not _fusible_conv(graph, consumers, name, conv_name):
-                continue
-            conv = graph.nodes[conv_name]
-            w = conv.attrs.get("weight")
-            kh, kw = conv.kernel()
-            if (
-                w is None
-                or conv.epilogues
-                or conv.inputs[0] != other
-                or conv.attrs["cin"] != conv.attrs["cout"]
-                or conv.attrs.get("groups", 1) != 1
-                or kh % 2 == 0 or kw % 2 == 0
-            ):
-                continue
-            eye = identity_conv_rect(kh, kw, conv.attrs["cout"])
-            conv.attrs["weight"] = w + eye.astype(w.dtype)
-            graph.replace_uses(name, conv_name)
-            graph.remove(name)
-            changes += 1
-            break
-    return changes
-
-
-def make_quantize_pass(
-    act_params: Optional[Dict[str, "object"]] = None,
-    weight_bits: int = 8,
-) -> PassFn:
-    """Build a pass quantizing conv weights (and optionally activations).
-
-    Mirrors :func:`repro.deploy.quantize.quantize_sesr`: symmetric
-    per-output-channel int8 weights; ``act_params`` maps conv node names to
-    :class:`~repro.deploy.quantize.QuantParams` for the fake-quant node
-    spliced in after each listed conv (exactly where ``QuantizedConv2d``
-    applies it).  Run before the fusion passes.
-    """
-    from ..deploy.quantize import calibrate_weight_per_channel
-
-    def insert_int8_quant(graph: Graph) -> int:
-        changes = 0
-        for name in list(graph.nodes):
-            node = graph.nodes[name]
-            if node.op != "conv" or node.attrs.get("weight") is None:
-                continue
-            params = calibrate_weight_per_channel(
-                node.attrs["weight"], weight_bits
-            )
-            node.attrs["weight_q"] = params.quantize(node.attrs["weight"])
-            node.attrs["weight_params"] = params
-            node.attrs["weight"] = None
-            changes += 1
-            if act_params and name in act_params:
-                qname = f"{name}_q"
-                graph.insert_after(
-                    name, Node(qname, "quant", [name],
-                               {"params": act_params[name]}),
-                )
-                graph.replace_uses(name, qname)
-                changes += 1
-        return changes
-
-    return insert_int8_quant
 
 
 # fuse_conv_activation runs twice: the second sweep catches activations

@@ -8,6 +8,10 @@ itself:
 
 * :func:`receptive_radius` — how many LR pixels of context a collapsed
   network needs (for SESR: 2 + m + 2 pixels);
+* :func:`plan_tiles` — the one tile grid: each :class:`TileSpec` is a
+  core window plus its halo, clamped to the frame, and
+  :meth:`TileSpec.stitch` crops the upscaled core back out.  The serving
+  engine (:mod:`repro.serve.engine`) tiles with the same two calls;
 * :func:`tiled_upscale` — split, run with halo, crop, stitch.  With
   ``halo >= receptive_radius`` the stitched output is *bit-identical* to
   full-frame inference (property-tested), which is exactly the functional
@@ -18,7 +22,8 @@ itself:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +59,55 @@ def receptive_radius(model_or_specs) -> int:
     return radius
 
 
+@dataclass(frozen=True)
+class TileSpec:
+    """One tile: output core ``[y0:y1, x0:x1]`` + halo window in LR coords."""
+
+    y0: int
+    y1: int
+    x0: int
+    x1: int
+    hy0: int
+    hy1: int
+    hx0: int
+    hx1: int
+
+    @property
+    def halo_shape(self) -> Tuple[int, int]:
+        return (self.hy1 - self.hy0, self.hx1 - self.hx0)
+
+    def stitch(self, out: np.ndarray, sr: np.ndarray, scale: int) -> None:
+        """Copy the upscaled core of this tile's result ``sr`` into ``out``."""
+        cy0, cx0 = (self.y0 - self.hy0) * scale, (self.x0 - self.hx0) * scale
+        cy1 = cy0 + (self.y1 - self.y0) * scale
+        cx1 = cx0 + (self.x1 - self.x0) * scale
+        out[self.y0 * scale:self.y1 * scale,
+            self.x0 * scale:self.x1 * scale] = sr[cy0:cy1, cx0:cx1]
+
+
+def plan_tiles(
+    h: int, w: int, tile: Tuple[int, int], halo: int
+) -> List[TileSpec]:
+    """Split an ``h×w`` frame into ``tile``-sized cores, row-major.
+
+    Edge tiles are ragged; each halo window extends ``halo`` pixels past
+    its core and is clamped to the frame.
+    """
+    th, tw = tile
+    if th <= 0 or tw <= 0:
+        raise ValueError("tile dimensions must be positive")
+    specs = []
+    for y0 in range(0, h, th):
+        for x0 in range(0, w, tw):
+            y1, x1 = min(y0 + th, h), min(x0 + tw, w)
+            specs.append(TileSpec(
+                y0, y1, x0, x1,
+                max(y0 - halo, 0), min(y1 + halo, h),
+                max(x0 - halo, 0), min(x1 + halo, w),
+            ))
+    return specs
+
+
 def tiled_upscale(
     model: Module,
     lr_img: np.ndarray,
@@ -79,29 +133,12 @@ def tiled_upscale(
     """
     lr_img = np.asarray(lr_img, dtype=np.float32)
     h, w = lr_img.shape
-    th, tw = tile
-    if th <= 0 or tw <= 0:
-        raise ValueError("tile dimensions must be positive")
     if halo is None:
         halo = receptive_radius(model)
-
     out = np.zeros((h * scale, w * scale), dtype=np.float32)
-    for y0 in range(0, h, th):
-        for x0 in range(0, w, tw):
-            y1 = min(y0 + th, h)
-            x1 = min(x0 + tw, w)
-            # Clamp the halo window to the frame.
-            hy0, hx0 = max(y0 - halo, 0), max(x0 - halo, 0)
-            hy1, hx1 = min(y1 + halo, h), min(x1 + halo, w)
-            patch = lr_img[hy0:hy1, hx0:hx1]
-            sr = predict_image(model, patch)
-            # Crop the upscaled core back out of the haloed result.
-            cy0, cx0 = (y0 - hy0) * scale, (x0 - hx0) * scale
-            cy1 = cy0 + (y1 - y0) * scale
-            cx1 = cx0 + (x1 - x0) * scale
-            out[y0 * scale : y1 * scale, x0 * scale : x1 * scale] = sr[
-                cy0:cy1, cx0:cx1
-            ]
+    for t in plan_tiles(h, w, tile, halo):
+        sr = predict_image(model, lr_img[t.hy0:t.hy1, t.hx0:t.hx1])
+        t.stitch(out, sr, scale)
     return out
 
 
@@ -115,14 +152,10 @@ def halo_overhead(
     pass it as ``halo_factor = 1 + halo_overhead(...)`` to
     :func:`repro.hw.tiling.estimate_tiled` for a corrected runtime.
     """
-    th, tw = tile
-    total = 0
-    for y0 in range(0, in_h, th):
-        for x0 in range(0, in_w, tw):
-            y1, x1 = min(y0 + th, in_h), min(x0 + tw, in_w)
-            hy0, hx0 = max(y0 - halo, 0), max(x0 - halo, 0)
-            hy1, hx1 = min(y1 + halo, in_h), min(x1 + halo, in_w)
-            total += (hy1 - hy0) * (hx1 - hx0)
+    total = sum(
+        (t.hy1 - t.hy0) * (t.hx1 - t.hx0)
+        for t in plan_tiles(in_h, in_w, tile, halo)
+    )
     return total / (in_h * in_w) - 1.0
 
 

@@ -1,8 +1,11 @@
 """``repro.serve`` — batched, cached, multi-worker SR inference serving.
 
 The deployment pipeline the paper's efficiency story points at: collapsed
-SESR networks loaded once (:mod:`~repro.serve.registry`), requests tiled
-and fanned across a worker pool (:mod:`~repro.serve.engine`) whose
+SESR networks loaded once (:mod:`~repro.serve.registry`, through the same
+:func:`repro.deploy.load`/:func:`repro.deploy.to_deployable` calls as the
+CLI and ``repro.api``), requests tiled on
+:func:`repro.deploy.plan_tiles`'s grid and fanned across a worker pool
+(:mod:`~repro.serve.engine`) whose
 configuration is one frozen :class:`EngineConfig` value, the process's
 BLAS pool sized so workers x BLAS threads fit the cores
 (:mod:`~repro.serve.cpu`), same-shape tile
@@ -24,7 +27,6 @@ from .engine import (
     InferenceEngine,
     RequestTimeout,
     UpscaleResult,
-    plan_tiles,
     predict_batch_exact,
 )
 from .scheduler import BatchScheduler, TileJob
@@ -34,7 +36,7 @@ from .http import (
     make_server,
     upscale_array_ex,
 )
-from .registry import ModelKey, ModelRegistry, build_training_model
+from .registry import ModelKey, ModelRegistry
 from .telemetry import Counter, Gauge, Histogram, StateGauge, Telemetry
 
 __all__ = [
@@ -50,7 +52,6 @@ __all__ = [
     "InferenceEngine",
     "RequestTimeout",
     "UpscaleResult",
-    "plan_tiles",
     "predict_batch_exact",
     "SRRequestHandler",
     "SRServer",
@@ -58,7 +59,6 @@ __all__ = [
     "upscale_array_ex",
     "ModelKey",
     "ModelRegistry",
-    "build_training_model",
     "Counter",
     "Gauge",
     "Histogram",

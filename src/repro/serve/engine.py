@@ -1,8 +1,10 @@
 """Batched, multi-worker tile inference engine (the serving hot path).
 
 A request is one LR Y-channel image.  The engine splits it into tiles
-padded by the model's receptive radius, exactly like
-:func:`repro.deploy.tiled.tiled_upscale` (same tile planner, same
+padded by the model's receptive radius with the grid
+:func:`repro.deploy.tiled.tiled_upscale` uses (one planner,
+:func:`~repro.deploy.tiled.plan_tiles`, and one core crop,
+:meth:`~repro.deploy.tiled.TileSpec.stitch`, with the
 :func:`~repro.deploy.tiled.receptive_radius` halo), fans the tiles out
 across a thread worker pool, and stitches the upscaled cores back into
 the response — so a single 1080p frame saturates every worker instead of
@@ -58,12 +60,12 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..datasets.degradation import bicubic_upscale
-from ..deploy.tiled import receptive_radius
+from ..deploy.tiled import TileSpec, plan_tiles, receptive_radius
 from ..nn import Module
 from ..obs import trace as _trace
 from ..resilience import CircuitBreaker, FaultInjector
@@ -96,24 +98,6 @@ class BreakerOpen(EngineError):
     """The circuit breaker is open and degraded mode is disabled."""
 
 
-@dataclass(frozen=True)
-class TileSpec:
-    """One tile: output core ``[y0:y1, x0:x1]`` + halo window in LR coords."""
-
-    y0: int
-    y1: int
-    x0: int
-    x1: int
-    hy0: int
-    hy1: int
-    hx0: int
-    hx1: int
-
-    @property
-    def halo_shape(self) -> Tuple[int, int]:
-        return (self.hy1 - self.hy0, self.hx1 - self.hx0)
-
-
 @dataclass
 class UpscaleResult:
     """An upscaled image plus how it was produced.
@@ -130,25 +114,6 @@ class UpscaleResult:
     cached: bool = False
     reason: str = ""
     trace_id: str = ""
-
-
-def plan_tiles(
-    h: int, w: int, tile: Tuple[int, int], halo: int
-) -> List[TileSpec]:
-    """Tile grid identical to :func:`repro.deploy.tiled.tiled_upscale`."""
-    th, tw = tile
-    if th <= 0 or tw <= 0:
-        raise ValueError("tile dimensions must be positive")
-    specs = []
-    for y0 in range(0, h, th):
-        for x0 in range(0, w, tw):
-            y1, x1 = min(y0 + th, h), min(x0 + tw, w)
-            specs.append(TileSpec(
-                y0, y1, x0, x1,
-                max(y0 - halo, 0), min(y1 + halo, h),
-                max(x0 - halo, 0), min(x1 + halo, w),
-            ))
-    return specs
 
 
 def predict_batch_exact(model: Module, patches: np.ndarray) -> np.ndarray:
@@ -471,7 +436,7 @@ class InferenceEngine:
             ])[..., None]
             outs = predict_batch_exact(self.model, patches)
             for j, t, sr in zip(jobs, specs, outs):
-                self._stitch(j.request, t, sr)
+                t.stitch(j.request.out, sr, self.scale)
         self.telemetry.counter("engine.tiles").inc(len(jobs))
         # Keep each request's trace tree complete: a zero-cost tile span
         # per job, linked to the batch it actually ran in.
@@ -498,18 +463,7 @@ class InferenceEngine:
                 )
             self.telemetry.counter("engine.tiles").inc()
             with _trace.span("serve.stitch", tiles=1):
-                self._stitch(request, t, sr)
-
-    def _stitch(self, request: _Request, t: TileSpec,
-                sr: np.ndarray) -> None:
-        """Copy the upscaled core of tile ``t`` into the response."""
-        s = self.scale
-        cy0, cx0 = (t.y0 - t.hy0) * s, (t.x0 - t.hx0) * s
-        cy1 = cy0 + (t.y1 - t.y0) * s
-        cx1 = cx0 + (t.x1 - t.x0) * s
-        request.out[t.y0 * s:t.y1 * s, t.x0 * s:t.x1 * s] = (
-            sr[cy0:cy1, cx0:cx1]
-        )
+                t.stitch(request.out, sr, self.scale)
 
     def _on_breaker_transition(self, old: str, new: str) -> None:
         self.telemetry.counter(f"engine.breaker_to_{new}").inc()

@@ -5,9 +5,10 @@ Endpoints (v1 — the documented API)
 ``POST /v1/upscale``
     Body: a binary/ASCII PGM or PPM image.  Response: the upscaled image in
     binary PGM (grey input) or PPM (colour input).  Colour inputs follow
-    the paper's protocol exactly as ``repro.cli upscale`` does — the engine
-    super-resolves the Y channel, chroma is bicubic-upscaled — so the
-    response bytes are bit-identical to the CLI's output file.
+    the paper's protocol through the function ``repro.cli upscale`` calls
+    (:func:`repro.deploy.upscale_colour`) — the engine super-resolves the Y
+    channel, chroma is bicubic-upscaled — so the response bytes are
+    bit-identical to the CLI's output file.
 ``GET /v1/healthz``
     Liveness + model identity (JSON).
 ``GET /v1/stats``
@@ -68,18 +69,14 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ..datasets import (
-    decode_netpbm,
-    encode_netpbm,
-    rgb_to_ycbcr,
-    ycbcr_to_rgb,
-)
-from ..datasets.degradation import bicubic_upscale
+from ..datasets import decode_netpbm, encode_netpbm
+from ..deploy.pipeline import upscale_colour
 from ..obs import get_tracer, render_prometheus
 from ..obs import profiler as _profiler
 from ..obs.trace import new_trace_id
@@ -116,26 +113,27 @@ _ROUTES = ("/upscale", "/healthz", "/stats", "/metrics")
 def upscale_array_ex(engine: InferenceEngine, img: np.ndarray,
                      timeout: Optional[float] = None,
                      trace_id: Optional[str] = None) -> UpscaleResult:
-    """Upscale a decoded image, colour-handling like ``cmd_upscale``.
+    """Upscale a decoded image with the paper's colour protocol.
 
-    Colour inputs follow the paper's protocol: the engine handles the Y
-    channel (the result is tagged degraded whenever the Y path was),
-    chroma is bicubic.
-    ``trace_id`` propagates to the engine's request span (see
+    :func:`repro.deploy.upscale_colour` — the function ``repro upscale``
+    and ``repro.api.upscale`` use — sends grey images and the Y channel of
+    colour ones through the engine and bicubic-upscales chroma.  The
+    result carries the engine's metadata (a colour result is degraded or
+    cached whenever its Y channel was).  ``trace_id`` propagates to the
+    engine's request span (see
     :meth:`~repro.serve.InferenceEngine.upscale_ex`).
     """
-    if img.ndim == 2:
-        return engine.upscale_ex(img, timeout=timeout, trace_id=trace_id)
-    ycbcr = rgb_to_ycbcr(img)
-    y_res = engine.upscale_ex(
-        np.ascontiguousarray(ycbcr[..., 0]), timeout=timeout,
-        trace_id=trace_id,
-    )
-    cb = bicubic_upscale(ycbcr[..., 1], engine.scale)
-    cr = bicubic_upscale(ycbcr[..., 2], engine.scale)
-    rgb = ycbcr_to_rgb(np.stack([y_res.image, cb, cr], axis=2))
-    return UpscaleResult(rgb, degraded=y_res.degraded, cached=y_res.cached,
-                         reason=y_res.reason, trace_id=y_res.trace_id)
+    y_results = []
+
+    def run_y(y: np.ndarray) -> np.ndarray:
+        res = engine.upscale_ex(y, timeout=timeout, trace_id=trace_id)
+        y_results.append(res)
+        return res.image
+
+    image = upscale_colour(img, engine.scale, run_y)
+    y_res = y_results[0]
+    # Grey: the engine's own result.  Colour: its metadata, RGB pixels.
+    return y_res if image is y_res.image else replace(y_res, image=image)
 
 
 class SRRequestHandler(BaseHTTPRequestHandler):

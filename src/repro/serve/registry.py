@@ -3,11 +3,15 @@
 The registry is the serving-side counterpart of the paper's deploy story:
 training artifacts are *expanded* SESR checkpoints, but what a server must
 run is the collapsed inference network (Fig. 2(d)), optionally int8-
-quantized for NPU parity.  Collapse is exact but not free, so the registry
-performs it **exactly once** per :class:`ModelKey` — ``(name, scale, ckpt,
-precision)`` — under a lock, and memoizes the resulting network for every
-later request, worker, and engine to share (collapsed nets are stateless at
-inference time, so sharing across threads is safe).
+quantized for NPU parity.  It builds that network with the same two calls
+``repro.api`` and the CLI make — :func:`repro.deploy.load` then
+:func:`repro.deploy.to_deployable` — so a served model equals
+``api.collapse(api.load(name, scale))`` by construction.  Collapse is exact
+but not free, so the registry performs it **exactly once** per
+:class:`ModelKey` — ``(name, scale, ckpt, precision)`` — under a lock, and
+memoizes the resulting network for every later request, worker, and
+engine to share (collapsed nets are stateless at inference time, so
+sharing across threads is safe).
 """
 
 from __future__ import annotations
@@ -16,11 +20,8 @@ import threading
 from dataclasses import dataclass
 from typing import Dict
 
-from .. import zoo
-from ..nn import Module, load_state
-from ..train.checkpoint import CheckpointCorrupt
-
-PRECISIONS = ("fp32", "int8")
+from ..deploy.pipeline import PRECISIONS, load, to_deployable
+from ..nn import Module
 
 
 @dataclass(frozen=True)
@@ -45,22 +46,6 @@ class ModelKey:
             raise ValueError(
                 f"unknown precision {self.precision!r}; know {PRECISIONS}"
             )
-
-
-def build_training_model(name: str, scale: int, seed: int = 0) -> Module:
-    """Instantiate the expanded (training-time) network for ``name``.
-
-    Resolution goes through the zoo registry so serving names stay in sync
-    with the paper's tables; CLI short forms are expanded to ``SESR-*``.
-    """
-    for candidate in (name, name.upper(), f"SESR-{name.upper()}"):
-        entry = zoo.ZOO.get(candidate)
-        if entry is not None and entry.factory is not None:
-            return entry.factory(scale=scale, seed=seed)
-    raise KeyError(
-        f"unknown model {name!r}; deployable zoo entries: "
-        f"{zoo.factory_names()}"
-    )
 
 
 class ModelRegistry:
@@ -95,41 +80,10 @@ class ModelRegistry:
             return self._models[key]
 
     def _build(self, key: ModelKey) -> Module:
-        trained = build_training_model(key.name, key.scale, self.seed)
-        if key.ckpt:
-            try:
-                load_state(trained, key.ckpt)
-            except FileNotFoundError:
-                raise
-            except (KeyError, ValueError) as exc:
-                # Wrong architecture / missing keys: a caller error, but
-                # keep the message pointed at the offending file.
-                raise type(exc)(
-                    f"checkpoint {key.ckpt!r} does not match model "
-                    f"{key.name!r}: {exc}"
-                ) from exc
-            except Exception as exc:  # zipfile.BadZipFile, zlib.error, ...
-                raise CheckpointCorrupt(
-                    f"checkpoint {key.ckpt!r} is unreadable (truncated or "
-                    f"damaged): {exc}"
-                ) from exc
+        trained = load(key.name, key.scale, key.ckpt, self.seed)
+        deployed = to_deployable(trained, key.precision)
         if hasattr(trained, "collapse"):
-            deployed = trained.collapse()
             self._collapse_counts[key] = self._collapse_counts.get(key, 0) + 1
-        else:
-            # FSRCNN has no linear blocks to collapse; deploy it as-is.
-            deployed = trained
-        if key.precision == "int8":
-            from ..core.sesr import CollapsedSESR
-            from ..deploy import quantize_sesr
-
-            if not isinstance(deployed, CollapsedSESR):
-                raise ValueError(
-                    f"precision 'int8' requires a SESR model, got "
-                    f"{key.name!r}"
-                )
-            deployed = quantize_sesr(deployed)
-        deployed.eval()
         return deployed
 
     def get_compiled(self, key: ModelKey) -> Module:

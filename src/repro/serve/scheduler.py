@@ -45,7 +45,7 @@ __all__ = ["BatchScheduler", "TileJob"]
 class TileJob:
     """One unit of worker work: one tile of one in-flight request.
 
-    ``spec`` is a :class:`~repro.serve.engine.TileSpec`.  ``group``
+    ``spec`` is a :class:`~repro.deploy.tiled.TileSpec`.  ``group``
     identifies the shape class whose jobs may share a batch — the engine
     uses ``(model key, halo shape)`` — and ``request`` is opaque to the
     scheduler except for fair-share identity.

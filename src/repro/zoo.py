@@ -76,6 +76,13 @@ def _sesr_factory(f: int, m: int) -> Callable[..., SESR]:
     return make
 
 
+def _fsrcnn_factory(scale: int = 2, seed: int = 0, mode: str = "collapsed",
+                    **kwargs) -> FSRCNN:
+    # FSRCNN has no linear blocks, so SESR's training ``mode`` (expanded
+    # or collapsed) names the same network; it is accepted and ignored.
+    return FSRCNN(scale=scale, seed=seed, **kwargs)
+
+
 def _sesr_specs(f: int, m: int) -> Callable[[int], List[LayerSpec]]:
     return lambda scale: sesr_specs(f, m, scale)
 
@@ -127,7 +134,7 @@ _register(ZooEntry(
         },
     },
     spec_fn=lambda scale: fsrcnn_specs(scale),
-    factory=lambda scale=2, seed=0, **kw: FSRCNN(scale=scale, seed=seed, **kw),
+    factory=_fsrcnn_factory,
 ))
 
 _register(ZooEntry(
@@ -148,7 +155,7 @@ _register(ZooEntry(
         },
     },
     spec_fn=lambda scale: fsrcnn_specs(scale),
-    factory=lambda scale=2, seed=0, **kw: FSRCNN(scale=scale, seed=seed, **kw),
+    factory=_fsrcnn_factory,
 ))
 
 _register(ZooEntry(

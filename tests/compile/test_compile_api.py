@@ -4,9 +4,10 @@ import threading
 
 import numpy as np
 
-from repro.cli import _build_model, main
+from repro.cli import main
 from repro.compile import CompiledModel
 from repro.datasets import load_image, save_image
+from repro.deploy import load
 from repro.serve import (
     EngineConfig,
     InferenceEngine,
@@ -118,6 +119,6 @@ class TestCompileCLI:
                      "--output", str(out_c)]) == 0
         # The oracle: the eager collapsed network on the same decoded
         # input, written through the same save_image.
-        eager = _build_model("M3", 2).collapse()
+        eager = load("M3", 2).collapse()
         save_image(str(out_e), predict_image(eager, load_image(str(src))))
         assert out_c.read_bytes() == out_e.read_bytes()

@@ -1,4 +1,4 @@
-"""Optimisation passes: bit-exactness, structure, and the opt-in rewrites."""
+"""Optimisation passes: bit-exactness and structure."""
 
 import numpy as np
 
@@ -12,19 +12,13 @@ from repro.compile import (
     capture,
     eliminate_dead_nodes,
     fold_constants,
-    fold_identity_residual,
     fuse_conv_activation,
     fuse_residual_add,
-    make_quantize_pass,
     to_layer_specs,
 )
 from repro.core import SESR
 from repro.core.carn import CARN_M
-from repro.deploy.quantize import (
-    QuantizedSESR,
-    calibrate_activations,
-    quantize_sesr,
-)
+from repro.deploy.quantize import quantize_sesr
 
 
 def _collapsed(name="M5", scale=2):
@@ -126,79 +120,3 @@ class TestDeadNodeElimination:
         assert eliminate_dead_nodes(g) == 1
         assert "orphan" not in g.nodes
         assert sesr_like.inputs == ["input"]
-
-
-class TestFoldIdentityResidual:
-    def _residual_graph(self, seed=0):
-        rng = np.random.default_rng(seed)
-        w = (rng.standard_normal((3, 3, 8, 8)) * 0.1).astype(np.float32)
-        b = rng.standard_normal(8).astype(np.float32)
-        g = Graph("res")
-        g.add_input("input", 8)
-        g.add(Node("c", "conv", ["input"],
-                   {"kernel": (3, 3), "cin": 8, "cout": 8,
-                    "weight": w, "bias": b}))
-        g.add(Node("a", "add", ["c", "input"]))
-        g.set_outputs(["a"])
-        return g.infer_shapes(), w
-
-    def test_rewrites_weight_to_w_plus_identity(self):
-        from repro.core.collapse import identity_conv_rect
-
-        g, w = self._residual_graph()
-        assert fold_identity_residual(g) == 1
-        g.infer_shapes()
-        assert "a" not in g.nodes and g.outputs == ["c"]
-        np.testing.assert_array_equal(
-            g.nodes["c"].attrs["weight"],
-            w + identity_conv_rect(3, 3, 8).astype(np.float32),
-        )
-
-    def test_result_matches_explicit_add_to_tolerance(self, nhwc):
-        g, _ = self._residual_graph()
-        x = nhwc(c=8)
-        before = CompiledModel(g.copy()).run(x)
-        fold_identity_residual(g)
-        g.infer_shapes()
-        after = CompiledModel(g).run(x)
-        # W+I reassociates the float sum: equal to tolerance, not bytes.
-        np.testing.assert_allclose(after, before, atol=1e-5, rtol=1e-5)
-
-    def test_skips_channel_mismatch(self):
-        # SESR's long black residual adds a 1-channel input to s² channels:
-        # broadcastable, but not identity-foldable.
-        g = capture(_collapsed())
-        assert fold_identity_residual(g) == 0
-
-
-class TestQuantizePass:
-    def test_weights_only_matches_quantize_sesr(self, nhwc):
-        model = _collapsed()
-        x = nhwc()
-        g = capture(model)
-        assert make_quantize_pass()(g) == len(
-            [n for n in g.nodes.values() if n.op == "conv"]
-        )
-        g.infer_shapes()
-        ref = eager_out(quantize_sesr(model), x)
-        assert np.array_equal(CompiledModel(g).run(x), ref)
-
-    def test_activation_observers_match_quantized_sesr(self, nhwc):
-        model = _collapsed()
-        x = nhwc()
-        rng = np.random.default_rng(7)
-        calib = [rng.random((12, 12)).astype(np.float32) for _ in range(2)]
-        observers = calibrate_activations(model, calib)
-        reference = QuantizedSESR(model, 8, 8, observers)
-
-        # Map the observer keys onto the IR node names.
-        act_params = {"first_5x5": observers["first"].params(8),
-                      "last_5x5": observers["last"].params(8)}
-        for i in range(model.m):
-            act_params[f"conv3x3_{i}"] = observers[f"conv{i}"].params(8)
-        g = capture(model)
-        make_quantize_pass(act_params)(g)
-        g.infer_shapes()
-        assert np.array_equal(
-            CompiledModel(g).run(x), eager_out(reference, x)
-        )

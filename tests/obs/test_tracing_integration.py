@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.deploy import plan_tiles
 from repro.obs import Tracer, set_tracer, span_tree
 from repro.serve import (
     EngineConfig,
@@ -10,7 +11,6 @@ from repro.serve import (
     ModelKey,
     ModelRegistry,
 )
-from repro.serve.engine import plan_tiles
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.deploy import receptive_radius, tiled_upscale
+from repro.deploy import plan_tiles, receptive_radius, tiled_upscale
 from repro.serve import (
     EngineClosed,
     EngineConfig,
@@ -16,7 +16,6 @@ from repro.serve import (
     ModelKey,
     ModelRegistry,
     RequestTimeout,
-    plan_tiles,
 )
 from repro.train import predict_image
 

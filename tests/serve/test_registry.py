@@ -9,9 +9,9 @@ import pytest
 from repro import zoo
 from repro.compile import CompiledModel
 from repro.core.sesr import CollapsedSESR
-from repro.deploy import QuantizedSESR
+from repro.deploy import QuantizedSESR, load
 from repro.nn import save_state
-from repro.serve import ModelKey, ModelRegistry, build_training_model
+from repro.serve import ModelKey, ModelRegistry
 from repro.serve.registry import PRECISIONS
 
 
@@ -30,16 +30,16 @@ class TestModelKey:
 class TestNameResolution:
     def test_short_and_zoo_names_resolve(self):
         for name in ("M3", "m3", "SESR-M3"):
-            model = build_training_model(name, scale=2)
+            model = load(name, scale=2)
             assert model.f == 16 and model.m == 3
 
     def test_fsrcnn_resolves(self):
-        model = build_training_model("FSRCNN", scale=2)
+        model = load("FSRCNN", scale=2)
         assert type(model).__name__ == "FSRCNN"
 
     def test_unknown_name_lists_deployable_entries(self):
         with pytest.raises(KeyError, match="SESR-M5"):
-            build_training_model("resnet50", scale=2)
+            load("resnet50", scale=2)
 
 
 class TestMemoization:
@@ -90,7 +90,7 @@ class TestMemoization:
 
 class TestCheckpointLoading:
     def test_ckpt_changes_served_weights(self, tmp_path):
-        trained = build_training_model("M3", scale=2)
+        trained = load("M3", scale=2)
         for p in trained.parameters():
             p.data += 0.01  # make the checkpoint differ from paper init
         ckpt = os.path.join(tmp_path, "m3.npz")

@@ -80,6 +80,80 @@ class TestServeErrors:
         assert "requires a SESR model" in err
 
 
+# Every command with --model, with the arguments it needs to get as far
+# as loading the model; which of the bad inputs below each one accepts.
+_COMMANDS = {
+    "train": (["--epochs", "1", "--images", "1", "--patch", "8"], ()),
+    "eval": ([], ("ckpt",)),
+    "upscale": (["--input", "{tmp}/in.pgm", "--output", "{tmp}/out.pgm"],
+                ("ckpt",)),
+    "collapse": (["--out", "{tmp}/c.npz"], ("ckpt",)),
+    "compile": (["--size", "8"], ("ckpt", "precision")),
+    "profile": (["--size", "8", "--mode", "deployed"], ("precision",)),
+    "serve": (["--port", "0"], ("ckpt", "precision")),
+}
+_BAD_INPUTS = {
+    # name: (arguments, option it needs, expected message fragment)
+    "unknown-model": (["--model", "bogus"], None, "unknown model 'bogus'"),
+    "missing-ckpt": (["--ckpt", "{tmp}/missing.npz"], "ckpt",
+                     "No such file"),
+    "mismatched-ckpt": (["--model", "M5", "--ckpt", "{tmp}/m3.npz"], "ckpt",
+                        "does not match model"),
+    "unreadable-ckpt": (["--ckpt", "{tmp}/torn.npz"], "ckpt", "unreadable"),
+    "int8-fsrcnn": (["--model", "FSRCNN", "--precision", "int8"],
+                    "precision", "requires a SESR model"),
+}
+
+
+def _error_cases():
+    for cmd, (_, takes) in _COMMANDS.items():
+        for bad, (_, needs, _) in _BAD_INPUTS.items():
+            if needs is None or needs in takes:
+                yield pytest.param(cmd, bad, id=f"{cmd}-{bad}")
+
+
+class TestLoadErrors:
+    """One error contract: a bad model, checkpoint or precision is a clean
+    ``repro <cmd>: error:`` with exit 2 on every command, as on serve."""
+
+    @pytest.mark.parametrize("cmd,bad", _error_cases())
+    def test_bad_input_is_a_clean_exit_2(self, cmd, bad, tmp_path, capsys):
+        from repro.core import SESR
+        from repro.nn import save_state
+
+        tmp = str(tmp_path)
+        save_state(SESR.from_name("M3", scale=2), f"{tmp}/m3.npz")
+        with open(f"{tmp}/m3.npz", "rb") as fh:
+            torn = fh.read()[:100]  # a zip cut short: unreadable
+        with open(f"{tmp}/torn.npz", "wb") as fh:
+            fh.write(torn)
+        save_image(f"{tmp}/in.pgm", np.zeros((8, 8), dtype=np.float32))
+        extra, _ = _COMMANDS[cmd]
+        bad_args, _, message = _BAD_INPUTS[bad]
+        argv = [cmd, *extra, *bad_args]
+        assert main([a.format(tmp=tmp) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {cmd}: error:"), err
+        assert message in err
+
+    @pytest.mark.parametrize("name", ["FSRCNN (our setup)", "SESR-M5", "m5"])
+    def test_compile_accepts_the_names_serve_accepts(self, name, capsys):
+        assert main(["compile", "--model", name, "--size", "8"]) == 0
+        assert "plan @ 8x8" in capsys.readouterr().out
+
+    def test_profile_deploys_fsrcnn_as_is(self, capsys):
+        assert main(["profile", "--model", "FSRCNN", "--size", "8",
+                     "--mode", "deployed"]) == 0
+        out = capsys.readouterr().out
+        assert "deployed (fp32)" in out and "conv2d" in out
+
+    def test_collapse_passes_fsrcnn_through(self, tmp_path, capsys):
+        out = str(tmp_path / "f.npz")
+        assert main(["collapse", "--model", "FSRCNN", "--out", out]) == 0
+        assert os.path.exists(out)
+        assert "12,809 training params -> 12,809" in capsys.readouterr().out
+
+
 class TestServeFlags:
     def test_batching_flags_have_safe_defaults(self):
         args = build_parser().parse_args(["serve"])
