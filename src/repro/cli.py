@@ -213,19 +213,15 @@ def cmd_compile(args: argparse.Namespace) -> int:
             load(args.model, args.scale, args.ckpt, args.seed),
             args.precision,
         )
-    compiled = compile_model(model, optimize=not args.no_optimize)
+    compiled = compile_model(model)
     graph = compiled.graph
 
     rows = [
         [e.name, str(e.changes), f"{e.nodes_before} -> {e.nodes_after}"]
-        for e in (compiled.pass_log or [])
+        for e in compiled.pass_log
     ]
-    if rows:
-        print(format_table(["pass", "changes", "nodes"], rows,
-                           title=f"{compiled.source or args.model}: passes"))
-    else:
-        print(f"{compiled.source or args.model}: optimisation disabled "
-              f"({len(graph.nodes)} nodes)")
+    print(format_table(["pass", "changes", "nodes"], rows,
+                       title=f"{compiled.source}: passes"))
 
     mem = compiled.memory_stats(args.size, args.size)
     print(format_table(
@@ -544,9 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=96,
                    help="LR input height/width for plan/MAC stats")
     p.add_argument("--dump-ir", action="store_true",
-                   help="print the optimised graph node by node")
-    p.add_argument("--no-optimize", action="store_true",
-                   help="skip the pass pipeline (capture + plan only)")
+                   help="print the fused graph node by node")
     p.set_defaults(fn=cmd_compile)
 
     p = sub.add_parser(

@@ -4,24 +4,27 @@ The paper's contribution is itself a compile-time transform (Algorithms
 1–2 collapse training-time linear blocks into narrow convs); this package
 finishes the pipeline the same way an NPU toolchain would:
 
-capture → optimise → plan → execute
+capture → fuse → plan → execute
+
+It compiles exactly what :func:`repro.deploy.to_deployable` produces:
+collapsed SESR, weights-only int8 SESR and FSRCNN.
 
 :mod:`~repro.compile.capture`
-    Reify a collapsed SESR / quantized SESR / FSRCNN / CARN model into the
-    typed static graph of :mod:`~repro.compile.ir` — the *single* model
-    description that :mod:`repro.metrics.complexity` counts,
-    :mod:`repro.hw` simulates (via :func:`to_layer_specs`), and the
-    executor runs.
+    Reify one of those models into the typed static graph of
+    :mod:`~repro.compile.ir` — the *single* model description that
+    :mod:`repro.metrics.complexity` counts, :mod:`repro.hw` simulates (via
+    :func:`to_layer_specs`), and the executor runs.  Anything else raises
+    :class:`CaptureError`.
 :mod:`~repro.compile.passes`
-    A pass manager with bit-exact passes (constant folding,
-    conv+activation fusion, residual-add fusion, dead-node elimination).
-    Collapse and int8 happen before capture
+    A pass manager with two bit-exact passes: conv+activation fusion and
+    residual-add fusion.  Collapse and int8 happen before capture
     (:func:`repro.deploy.to_deployable`), not as passes.
 :mod:`~repro.compile.planner`
     Liveness analysis + greedy interval colouring: run in a few reusable
     arenas instead of one allocation per op.
 :mod:`~repro.compile.executor`
-    A :class:`~repro.nn.Module`-compatible executor over the plan —
+    A :class:`~repro.nn.Module`-compatible executor over the plan that
+    runs conv (with fused epilogues), deconv and depth-to-space —
     bit-identical to eager (pinned by tests), profiled and traced via
     :mod:`repro.obs`.
 
@@ -36,15 +39,13 @@ collapsed network stays the oracle they are tested against.  The
 ``docs/compiler.md``.
 """
 
-from .capture import CaptureError, capture, carn_ir, fsrcnn_ir, sesr_ir
+from .capture import CaptureError, capture, fsrcnn_ir, sesr_ir
 from .executor import CompiledModel
 from .ir import Graph, IRError, Node, receptive_radius, to_layer_specs
 from .passes import (
     DEFAULT_PASSES,
     PassEntry,
     PassManager,
-    eliminate_dead_nodes,
-    fold_constants,
     fuse_conv_activation,
     fuse_residual_add,
 )
@@ -61,10 +62,7 @@ __all__ = [
     "PassManager",
     "DEFAULT_PASSES",
     "capture",
-    "carn_ir",
     "compile_model",
-    "eliminate_dead_nodes",
-    "fold_constants",
     "fsrcnn_ir",
     "fuse_conv_activation",
     "fuse_residual_add",
@@ -75,18 +73,11 @@ __all__ = [
 ]
 
 
-def compile_model(model, *, optimize: bool = True) -> CompiledModel:
-    """Capture, optimise, plan, and wrap ``model`` for execution.
+def compile_model(model) -> CompiledModel:
+    """Capture, fuse, plan, and wrap ``model`` for execution.
 
-    ``optimize=False`` skips the pass pipeline (the unfused graph still
-    executes bit-identically — useful for debugging a pass).  Raises
-    :class:`~repro.compile.capture.CaptureError` for unsupported models.
+    Raises :class:`~repro.compile.capture.CaptureError` for a model
+    :func:`repro.deploy.to_deployable` does not produce.
     """
-    graph = capture(model)
-    source = graph.name
-    pass_log = []
-    if optimize:
-        graph, pass_log = PassManager().run(graph)
-    return CompiledModel(
-        graph, plan_buffers(graph), pass_log=pass_log, source=source,
-    )
+    graph, pass_log = PassManager().run(capture(model))
+    return CompiledModel(graph, pass_log=pass_log)

@@ -1,4 +1,4 @@
-"""Capture a live inference model into the compiler IR.
+"""Capture a deployable inference model into the compiler IR.
 
 The substrate's ops build autograd closures eagerly and quantized layers
 re-wrap arrays mid-forward, so op-level tracing cannot recover a clean
@@ -10,26 +10,24 @@ model's weights onto it.  Mirroring ``forward`` exactly is what makes the
 compiled executor's bit-identity guarantee checkable: the graph *is* the
 eager dataflow, just reified.
 
-Supported families: :class:`~repro.core.sesr.CollapsedSESR`,
-:class:`~repro.deploy.quantize.QuantizedSESR` (quant nodes inserted between
-each conv and its activation, exactly where ``QuantizedConv2d`` fake-quants),
-:class:`~repro.core.fsrcnn.FSRCNN`, and :class:`~repro.core.carn.CARN_M`.
-Anything else — notably an *uncollapsed* :class:`~repro.core.sesr.SESR`,
-which should be collapsed first (Algorithms 1–2) — raises
-:class:`CaptureError`, which callers like the serve registry treat as
-"fall back to eager".
+Supported are the models :func:`repro.deploy.to_deployable` returns:
+:class:`~repro.core.sesr.CollapsedSESR`, its weights-only int8 form
+:class:`~repro.deploy.quantize.QuantizedSESR` (the int8 weights are
+dequantized once, here, with the call the eager layer makes on every
+forward), and :class:`~repro.core.fsrcnn.FSRCNN`.  Anything else — an
+*uncollapsed* :class:`~repro.core.sesr.SESR` (collapse it first,
+Algorithms 1–2), a ``QuantizedSESR`` calibrated with activation
+fake-quant, or another architecture — raises :class:`CaptureError`.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..nn import PReLU
 from .ir import Graph, Node
 
 
 class CaptureError(TypeError):
-    """The model is not a supported inference network (fall back to eager)."""
+    """The model is not one the deploy path produces, so it cannot compile."""
 
 
 # ---------------------------------------------------------------------- #
@@ -114,99 +112,42 @@ def fsrcnn_ir(
     return g.infer_shapes()
 
 
-def carn_ir(model) -> Graph:
-    """CARN-M inference graph with weights bound (built per instance —
-    cascade topology depends on ``blocks``/``depth``)."""
-    w, groups = model.width, model.groups
-    g = Graph(f"carn_w{w}g{groups}x{model.scale}")
-    g.add_input("input", 1)
-    h = g.add(Node("entry", "conv", ["input"], _conv_attrs(model.entry)))
-    cascade = [h]
-    for i, (blk, fuse) in enumerate(zip(model.cascades, model.fusions)):
-        h = _carn_cascade(g, model, blk, h, f"c{i}")
-        cascade.append(h)
-        cat = g.add(Node(f"concat_{i}", "concat", list(cascade)))
-        h = g.add(Node(f"cfuse_{i}", "conv", [cat], _conv_attrs(fuse)))
-    for i, conv in enumerate(model.up_convs):
-        g.add(Node(f"up{i}", "conv", [h], _conv_attrs(conv)))
-        g.add(Node(f"up{i}_relu", "relu", [f"up{i}"]))
-        h = g.add(Node(f"d2s{i}", "depth_to_space", [f"up{i}_relu"],
-                       {"block": 2}))
-    out = g.add(Node("exit", "conv", [h], _conv_attrs(model.exit)))
-    g.set_outputs([out])
-    return g.infer_shapes()
-
-
-def _carn_cascade(g: Graph, model, blk, entry: str, prefix: str) -> str:
-    cascade = [entry]
-    h = entry
-    for j, (eblk, fuse) in enumerate(zip(blk.blocks, blk.fusions)):
-        p = f"{prefix}_b{j}"
-        g.add(Node(f"{p}_g3x3_a", "conv", [h], _conv_attrs(eblk.conv1)))
-        g.add(Node(f"{p}_relu_a", "relu", [f"{p}_g3x3_a"]))
-        g.add(Node(f"{p}_g3x3_b", "conv", [f"{p}_relu_a"],
-                   _conv_attrs(eblk.conv2)))
-        g.add(Node(f"{p}_1x1", "conv", [f"{p}_g3x3_b"],
-                   _conv_attrs(eblk.pointwise)))
-        g.add(Node(f"{p}_residual", "add", [f"{p}_1x1", h]))
-        tail = g.add(Node(f"{p}_relu_b", "relu", [f"{p}_residual"]))
-        cascade.append(tail)
-        cat = g.add(Node(f"{prefix}_concat{j}", "concat", list(cascade)))
-        h = g.add(Node(f"{prefix}_fuse{j}", "conv", [cat], _conv_attrs(fuse)))
-    return h
-
-
 # ---------------------------------------------------------------------- #
 # weight binding
 # ---------------------------------------------------------------------- #
-def _conv_attrs(layer) -> dict:
-    """IR attrs for a live :class:`repro.nn.Conv2d` (padding must be the
-    stride-1 'same' every supported model uses)."""
+def _bind_conv(g: Graph, name: str, layer) -> None:
+    """Bind a live :class:`repro.nn.Conv2d` (padding must be the stride-1
+    'same' every supported model uses; shapes are checked by
+    :meth:`Graph.infer_shapes`)."""
     if layer.stride != 1 or layer.padding != "same":
         raise CaptureError(
             f"unsupported conv config stride={layer.stride} "
             f"padding={layer.padding!r}"
         )
-    return {
-        "kernel": layer.kernel_size,
-        "cin": layer.in_channels,
-        "cout": layer.out_channels,
-        "groups": layer.groups,
+    g.nodes[name].attrs.update({
         "weight": layer.weight.data,
         "bias": None if layer.bias is None else layer.bias.data,
-    }
-
-
-def _bind_conv(g: Graph, name: str, layer) -> None:
-    g.nodes[name].attrs.update(_conv_attrs(layer))
+    })
 
 
 def _bind_qconv(g: Graph, name: str, layer) -> None:
-    """Bind a :class:`~repro.deploy.quantize.QuantizedConv2d`.
+    """Bind a weights-only :class:`~repro.deploy.quantize.QuantizedConv2d`.
 
-    ``weight`` stays ``None`` — the executor dequantizes ``weight_q`` per
-    call exactly as the eager layer does; the constant-folding pass
-    precomputes it.  When the layer fake-quants its output, a quant node is
-    spliced in right after the conv (before the activation), which is where
-    ``QuantizedConv2d.forward`` applies it.
+    The float weight is ``weight_params.dequantize(weight_q)``, the call
+    ``QuantizedConv2d.forward`` makes on every forward; it is
+    deterministic, so making it once here is bit-exact.
     """
     if layer.padding != "same":
         raise CaptureError(f"unsupported padding {layer.padding!r}")
+    if layer.act_params is not None:
+        raise CaptureError(
+            f"cannot capture activation fake-quant (layer {name!r}); "
+            f"the deploy path quantizes weights only"
+        )
     g.nodes[name].attrs.update({
-        "kernel": layer.kernel_size,
-        "cin": layer.in_channels,
-        "cout": layer.out_channels,
-        "groups": 1,
-        "weight": None,
-        "weight_q": layer.weight_q,
-        "weight_params": layer.weight_params,
+        "weight": layer.weight_params.dequantize(layer.weight_q),
         "bias": layer.bias,
     })
-    if layer.act_params is not None:
-        qname = f"{name}_q"
-        g.insert_after(name, Node(qname, "quant", [name],
-                                  {"params": layer.act_params}))
-        g.replace_uses(name, qname)  # skips the quant node's own input
 
 
 def _bind_act(g: Graph, name: str, layer) -> None:
@@ -220,7 +161,6 @@ def capture(model) -> Graph:
     Raises :class:`CaptureError` for anything else (including uncollapsed
     :class:`~repro.core.sesr.SESR` — collapse before compiling).
     """
-    from ..core.carn import CARN_M
     from ..core.fsrcnn import FSRCNN
     from ..core.sesr import CollapsedSESR
     from ..deploy.quantize import QuantizedSESR
@@ -231,11 +171,9 @@ def capture(model) -> Graph:
         return _capture_qsesr(model)
     if isinstance(model, FSRCNN):
         return _capture_fsrcnn(model)
-    if isinstance(model, CARN_M):
-        return carn_ir(model)
     raise CaptureError(
         f"cannot capture {type(model).__name__}; supported: CollapsedSESR, "
-        f"QuantizedSESR, FSRCNN, CARN_M (collapse SESR models first)"
+        f"weights-only QuantizedSESR, FSRCNN (collapse SESR models first)"
     )
 
 
@@ -299,10 +237,3 @@ def _capture_fsrcnn(model) -> Graph:
     })
     return g.infer_shapes()
 
-
-def _maybe_capture(model) -> Optional[Graph]:
-    """Capture or ``None`` (convenience for callers with eager fallback)."""
-    try:
-        return capture(model)
-    except CaptureError:
-        return None

@@ -1,8 +1,11 @@
 """Planned-buffer executor for compiled inference graphs.
 
-:class:`CompiledModel` runs an optimised :class:`~repro.compile.ir.Graph`
+:class:`CompiledModel` runs a fused :class:`~repro.compile.ir.Graph`
 inside the arenas a :class:`~repro.compile.planner.BufferPlan` laid out.
-It is a drop-in :class:`~repro.nn.Module`: ``forward`` takes and returns a
+It executes three ops — conv (with its fused relu/prelu/add epilogues),
+deconv and depth-to-space, which is all the fusion passes leave of a
+deployable graph — and rejects a graph holding any other node.  It is a
+drop-in :class:`~repro.nn.Module`: ``forward`` takes and returns a
 :class:`~repro.nn.Tensor`, so ``predict_image``, the tiling helpers, and
 the serving engine work unchanged — which is also what makes the engine's
 tile fan-out multithreaded execution of the plan: each worker thread
@@ -15,14 +18,13 @@ float operation chain exactly, only redirecting *where* results land:
   one sgemm (``np.matmul(..., out=...)`` — the same BLAS call ``cols @
   wmat`` makes) → broadcast bias add.  Fused epilogues then run in place
   on the conv's output: the identical elementwise maximum/minimum/multiply/
-  add chain the standalone ops perform.  The profiler records the sgemm
-  phase as ``gemm.blas`` (inside ``conv2d``, like ``im2col``).
+  add chain the eager relu/PReLU/residual add perform.  The profiler
+  records the sgemm phase as ``gemm.blas`` (inside ``conv2d``, like
+  ``im2col``).
 * depth-to-space is the same reshape/transpose, copied into a contiguous
-  view of the destination; fake-quant calls the very
-  :meth:`~repro.deploy.quantize.QuantParams.fake_quant` the eager layer
-  calls; deconv runs the eager sub-pixel ``conv2d_transpose`` as a
-  composite (its output is the FSRCNN graph output, so it allocates fresh
-  anyway).
+  view of the destination; deconv runs the eager sub-pixel
+  ``conv2d_transpose`` as a composite (its output is the FSRCNN graph
+  output, so it allocates fresh anyway).
 
 ``tests/compile/test_executor.py`` pins byte-identity against the eager
 models for every zoo variant.
@@ -30,7 +32,7 @@ models for every zoo variant.
 **Memory.**  Arenas are cached per ``(N, H, W)`` input shape in a
 ``threading.local`` — concurrent serve workers never share mutable
 buffers, and repeat tiles of the same shape (the common serving case)
-allocate nothing.  Scratch (cols / elementwise temp / pad borders) is
+allocate nothing.  Scratch (cols / PReLU temp / pad borders) is
 shared across nodes within an arena.  The graph output is always freshly
 allocated per call: returning an arena view would hand the caller a buffer
 the next request overwrites.
@@ -55,27 +57,33 @@ from ..nn.ops import conv2d_transpose, resolve_padding
 from ..obs import profiler as _profiler
 from ..obs import span
 from .ir import Graph, receptive_radius
-from .planner import BufferPlan, plan_buffers
+from .planner import plan_buffers
+
+#: The ops :class:`CompiledModel` executes (besides the graph input).
+EXECUTED_OPS = ("conv", "deconv", "depth_to_space")
 
 
 class CompiledModel(Module):
     """Executable form of a compiled graph (see :func:`repro.compile.compile_model`)."""
 
     def __init__(
-        self,
-        graph: Graph,
-        plan: Optional[BufferPlan] = None,
-        pass_log: Optional[Sequence] = None,
-        source: str = "",
+        self, graph: Graph, pass_log: Optional[Sequence] = None,
     ) -> None:
         super().__init__()
         graph.infer_shapes()
         if len(graph.inputs) != 1 or len(graph.outputs) != 1:
             raise ValueError("CompiledModel expects one input and one output")
+        for node in graph.nodes.values():
+            if node.op != "input" and node.op not in EXECUTED_OPS:
+                raise ValueError(
+                    f"cannot execute {node.op} node {node.name!r}: "
+                    f"CompiledModel runs {', '.join(EXECUTED_OPS)} "
+                    f"(fuse the graph with PassManager first)"
+                )
         self.graph = graph
-        self.plan = plan if plan is not None else plan_buffers(graph)
+        self.plan = plan_buffers(graph)
         self.pass_log = list(pass_log or [])
-        self.source = source or graph.name
+        self.source = graph.name
         self.receptive_radius = receptive_radius(graph)
         self.scale = int(round(graph.nodes[graph.outputs[0]].res_scale))
         self._steps = self._prepare()
@@ -102,7 +110,7 @@ class CompiledModel(Module):
     def _prepare(self) -> List[Dict[str, Any]]:
         steps: List[Dict[str, Any]] = []
         for node in self.graph.nodes.values():
-            if node.op in ("input", "const"):
+            if node.op == "input":
                 continue
             step: Dict[str, Any] = {
                 "name": node.name,
@@ -116,68 +124,34 @@ class CompiledModel(Module):
                 self._prepare_conv(node, step)
             elif node.op == "deconv":
                 step["stride"] = int(node.attrs["stride"])
-                w = node.attrs.get("weight")
-                if w is None:
-                    params = node.attrs["weight_params"]
-                    w = params.dequantize(node.attrs["weight_q"])
-                step["w_t"] = Tensor(w)
+                step["w_t"] = Tensor(node.attrs["weight"])
                 b = node.attrs.get("bias")
                 step["b_t"] = None if b is None else Tensor(b)
-            elif node.op == "prelu":
-                step["alpha"] = node.attrs["alpha"]
-            elif node.op == "quant":
-                step["params"] = node.attrs["params"]
-            elif node.op == "depth_to_space":
+            else:  # depth_to_space
                 step["block"] = int(node.attrs["block"])
-            elif node.op == "concat":
-                offsets, off = [], 0
-                for src in node.inputs:
-                    c = self.graph.nodes[src].channels
-                    offsets.append((src, off, c))
-                    off += c
-                step["offsets"] = offsets
             steps.append(step)
         return steps
 
     def _prepare_conv(self, node, step: Dict[str, Any]) -> None:
         kh, kw = node.kernel()
-        groups = int(node.attrs.get("groups", 1))
         cin, cout = int(node.attrs["cin"]), int(node.attrs["cout"])
-        gc_in, gc_out = cin // groups, cout // groups
         step.update({
             "kernel": (kh, kw),
-            "groups": groups,
             "cin": cin,
             "cout": cout,
             "pad": resolve_padding((kh, kw), (1, 1), "same"),
             "bias": node.attrs.get("bias"),
+            # The same values the eager conv2d's weight reshape produces.
+            "wmat": np.ascontiguousarray(
+                node.attrs["weight"].reshape(kh * kw * cin, cout)
+            ),
         })
-        w = node.attrs.get("weight")
-        if w is None:
-            # Unfolded int8 conv: dequantize per call, exactly like the
-            # eager QuantizedConv2d (fold_constants removes this).
-            step["wmats"] = None
-            step["weight_q"] = node.attrs["weight_q"]
-            step["weight_params"] = node.attrs["weight_params"]
-        else:
-            # Same values the eager path's reshape produces: the grouped
-            # path reshapes a C_out slice (a copy), dense reshapes a view.
-            step["wmats"] = [
-                np.ascontiguousarray(
-                    w[:, :, :, g * gc_out:(g + 1) * gc_out].reshape(
-                        kh * kw * gc_in, gc_out
-                    )
-                )
-                for g in range(groups)
-            ]
         eps = []
         for ep in node.epilogues:
             if ep[0] == "add":
                 eps.append(("add", node.inputs[ep[1]]))
             elif ep[0] == "prelu":
                 eps.append(("prelu", ep[1]))
-            elif ep[0] == "quant":
-                eps.append(("quant", ep[1]))
             else:
                 eps.append(("relu",))
         step["eps"] = eps
@@ -205,9 +179,7 @@ class CompiledModel(Module):
                 continue
             oh, ow = shapes[step["name"]][1:3]
             kh, kw = step["kernel"]
-            cols = max(
-                cols, n * oh * ow * kh * kw * step["cin"] // step["groups"]
-            )
+            cols = max(cols, n * oh * ow * kh * kw * step["cin"])
             (pt, pb), (pl, pr) = step["pad"]
             if pt or pb or pl or pr:
                 ih = round(h * step["res_scale"])
@@ -240,18 +212,12 @@ class CompiledModel(Module):
                 shape = layout["shapes"][name]
                 need = int(np.prod(shape))
                 views[name] = slots[slot][:need].reshape(shape)
-            consts = {
-                node.name: node.attrs["value"]
-                for node in self.graph.nodes.values()
-                if node.op == "const"
-            }
             arena = {
                 "shapes": layout["shapes"],
                 "views": views,
                 "cols": np.empty(layout["cols"], dtype=np.float32),
                 "tmp": np.empty(layout["tmp"], dtype=np.float32),
                 "pads": {},  # zero-bordered pad scratch, keyed by shape
-                "consts": consts,
             }
             arenas[(n, h, w)] = arena
         return arena
@@ -309,8 +275,7 @@ class CompiledModel(Module):
         n, h, w = x.shape[:3]
         exact = bool(exact_batch) and n > 1
         arena = self._arena(n, h, w)
-        values: Dict[str, np.ndarray] = dict(arena["consts"])
-        values[self.graph.inputs[0]] = x
+        values: Dict[str, np.ndarray] = {self.graph.inputs[0]: x}
         with span("compile.execute", model=self.source,
                   shape=f"{n}x{h}x{w}", exact_batch=exact):
             for step in self._steps:
@@ -355,33 +320,16 @@ class CompiledModel(Module):
                 np.copyto(dst, out)
                 values[step["name"]] = dst
             return
+        # depth_to_space
         dst = self._dst(step, arena)
-        if op == "relu":
-            np.maximum(src, 0.0, out=dst)
-        elif op == "prelu":
-            t = arena["tmp"][:dst.size].reshape(dst.shape)
-            np.minimum(src, 0.0, out=t)
-            np.multiply(t, step["alpha"], out=t)
-            np.maximum(src, 0.0, out=dst)
-            np.add(dst, t, out=dst)
-        elif op == "quant":
-            np.copyto(dst, step["params"].fake_quant(src))
-        elif op == "add":
-            np.add(src, values[step["srcs"][1]], out=dst)
-        elif op == "concat":
-            for name, off, c in step["offsets"]:
-                dst[..., off:off + c] = values[name]
-        elif op == "depth_to_space":
-            r = step["block"]
-            n, h, w, c = src.shape
-            co = c // (r * r)
-            src6 = src.reshape(n, h, w, r, r, co)
-            np.copyto(
-                dst.reshape(n, h, r, w, r, co),
-                src6.transpose(0, 1, 3, 2, 4, 5),
-            )
-        else:  # pragma: no cover — infer_shapes rejects unknown ops
-            raise ValueError(f"cannot execute op {op!r}")
+        r = step["block"]
+        n, h, w, c = src.shape
+        co = c // (r * r)
+        src6 = src.reshape(n, h, w, r, r, co)
+        np.copyto(
+            dst.reshape(n, h, r, w, r, co),
+            src6.transpose(0, 1, 3, 2, 4, 5),
+        )
         values[step["name"]] = dst
 
     @staticmethod
@@ -427,46 +375,23 @@ class CompiledModel(Module):
         else:
             xp = src
         dst = self._dst(step, arena)
-        groups, cout = step["groups"], step["cout"]
-        gc_in, gc_out = cin // groups, cout // groups
-        m, k = n * h * w, kh * kw * gc_in
-        wmats = step["wmats"]
-        if wmats is None:
-            # Unfolded int8 conv: dequantized per call (fold_constants
-            # removes this).
-            wfull = step["weight_params"].dequantize(step["weight_q"])
-            wmats = [wfull.reshape(k, cout)]
-        bias = step["bias"]
-        colsbuf, prof = arena["cols"], _profiler.ACTIVE
-        for g in range(groups):
-            if prof is not None:
-                t0 = time.perf_counter()
-            xg = xp if groups == 1 else xp[..., g * gc_in:(g + 1) * gc_in]
-            if groups == 1:
-                out2d = dst.reshape(m, cout)
-            else:
-                out2d = arena["tmp"][:m * gc_out].reshape(m, gc_out)
-            patches = extract_patches(xg, (kh, kw), (1, 1))
-            np.copyto(
-                colsbuf[:m * k].reshape(n, h, w, kh, kw, gc_in), patches
-            )
-            cols = colsbuf[:m * k].reshape(m, k)
-            if prof is not None:
-                prof.record("im2col", time.perf_counter() - t0)
-            self._matmul_rows(
-                cols, wmats[g], out2d, n, h * w, exact, prof
-            )
-            if bias is not None:
-                b = bias if groups == 1 else bias[g * gc_out:(g + 1) * gc_out]
-                np.add(out2d, b, out=out2d)
-            if groups > 1:
-                dst[..., g * gc_out:(g + 1) * gc_out] = out2d.reshape(
-                    n, h, w, gc_out
-                )
-            if prof is not None:
-                prof.record(
-                    "conv2d", time.perf_counter() - t0, macs=m * k * gc_out
-                )
+        cout = step["cout"]
+        m, k = n * h * w, kh * kw * cin
+        prof = _profiler.ACTIVE
+        if prof is not None:
+            t0 = time.perf_counter()
+        patches = extract_patches(xp, (kh, kw), (1, 1))
+        cols = arena["cols"][:m * k]
+        np.copyto(cols.reshape(n, h, w, kh, kw, cin), patches)
+        cols = cols.reshape(m, k)
+        if prof is not None:
+            prof.record("im2col", time.perf_counter() - t0)
+        out2d = dst.reshape(m, cout)
+        self._matmul_rows(cols, step["wmat"], out2d, n, h * w, exact, prof)
+        if step["bias"] is not None:
+            np.add(out2d, step["bias"], out=out2d)
+        if prof is not None:
+            prof.record("conv2d", time.perf_counter() - t0, macs=m * k * cout)
         for ep in step["eps"]:
             kind = ep[0]
             if kind == "relu":
@@ -477,8 +402,6 @@ class CompiledModel(Module):
                 np.multiply(t, ep[1], out=t)
                 np.maximum(dst, 0.0, out=dst)
                 np.add(dst, t, out=dst)
-            elif kind == "quant":
-                np.copyto(dst, ep[1].fake_quant(dst))
             else:  # fused residual add, in place on the conv output
                 np.add(dst, values[ep[1]], out=dst)
         values[step["name"]] = dst

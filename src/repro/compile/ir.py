@@ -1,8 +1,10 @@
 """Typed static-graph IR for the collapsed inference path.
 
-A :class:`Graph` is an ordered set of named :class:`Node`\\ s — conv, deconv,
-relu/prelu, add, concat, depth-to-space, quant, const — held in topological
-order (insertion order is validated to be topological).  Spatial dimensions
+A :class:`Graph` is an ordered set of named :class:`Node`\\ s — conv,
+deconv, relu/prelu, add, depth-to-space — held in topological order
+(insertion order is validated to be topological).  These are the ops of
+the graphs :func:`repro.deploy.to_deployable` produces: collapsed SESR
+(Fig. 2(d)), its weights-only int8 form, and FSRCNN.  Spatial dimensions
 stay symbolic: every node carries ``(channels, res_scale)``, where
 ``res_scale`` is the node's output resolution relative to the network input,
 exactly the convention of :class:`repro.metrics.complexity.LayerSpec`.  A
@@ -18,39 +20,34 @@ The IR is the single model description shared by three consumers:
 * :class:`repro.compile.CompiledModel` executes it.
 
 Convs may carry an ordered **epilogue** list — ``("relu", name)``,
-``("prelu", alpha, name)``, ``("quant", params, name)``, ``("add", input_idx,
-name)`` — produced by the fusion passes.  Epilogues are applied in place on
-the conv's output buffer; the exporter re-expands them, so
-``to_layer_specs`` is invariant under fusion (pinned by tests).
+``("prelu", alpha, name)``, ``("add", input_idx, name)`` — produced by the
+fusion passes, which fold every relu/prelu/add node of a deployable graph
+into one.  Epilogues are applied in place on the conv's output buffer; the
+exporter re-expands them, so ``to_layer_specs`` is invariant under fusion
+(pinned by tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..metrics.complexity import LayerSpec
 
 #: Every operation the IR can express.
 OP_KINDS = (
     "input",
-    "const",
     "conv",
     "deconv",
     "relu",
     "prelu",
     "add",
-    "concat",
     "depth_to_space",
-    "quant",
 )
 
 #: Required attribute keys per op (beyond what shape inference derives).
 _REQUIRED_ATTRS = {
     "input": ("channels",),
-    "const": ("value",),
     "conv": ("kernel", "cin", "cout"),
     "deconv": ("kernel", "cin", "cout", "stride"),
     "depth_to_space": ("block",),
@@ -59,15 +56,12 @@ _REQUIRED_ATTRS = {
 #: How many value inputs each op consumes (conv may gain more via fused adds).
 _ARITY = {
     "input": 0,
-    "const": 0,
     "conv": 1,
     "deconv": 1,
     "relu": 1,
     "prelu": 1,
     "add": 2,
-    "concat": None,  # >= 2
     "depth_to_space": 1,
-    "quant": 1,
 }
 
 
@@ -168,7 +162,7 @@ class Graph:
         return g
 
     # ------------------------------------------------------------------ #
-    # mutation (used by the optimisation passes)
+    # mutation (used by the fusion passes)
     # ------------------------------------------------------------------ #
     def remove(self, name: str) -> None:
         node = self.nodes.pop(name)
@@ -184,24 +178,6 @@ class Graph:
                 continue
             node.inputs = [new if i == old else i for i in node.inputs]
         self.outputs = [new if o == old else o for o in self.outputs]
-
-    def insert_after(self, anchor: str, node: Node) -> str:
-        """Insert ``node`` immediately after ``anchor`` in the ordering.
-
-        The caller wires ``node.inputs``/consumers; this only places the
-        node so insertion order stays topological.
-        """
-        if anchor not in self.nodes:
-            raise IRError(f"unknown anchor node {anchor!r}")
-        if node.name in self.nodes:
-            raise IRError(f"duplicate node name {node.name!r}")
-        rebuilt: Dict[str, Node] = {}
-        for name, existing in self.nodes.items():
-            rebuilt[name] = existing
-            if name == anchor:
-                rebuilt[node.name] = node
-        self.nodes = rebuilt
-        return node.name
 
     # ------------------------------------------------------------------ #
     # analysis
@@ -239,39 +215,25 @@ class Graph:
         n_main = len(node.inputs) - sum(
             1 for e in node.epilogues if e[0] == "add"
         )
-        if arity is not None and n_main != arity:
+        if n_main != arity:
             raise IRError(
                 f"{op} node {node.name!r} expects {arity} input(s), "
                 f"got {n_main}"
             )
         if op == "input":
             node.channels, node.res_scale = int(a["channels"]), 1.0
-        elif op == "const":
-            value = np.asarray(a["value"])
-            if value.ndim != 4:
-                raise IRError(
-                    f"const node {node.name!r} must hold an NHWC array"
-                )
-            node.channels = int(value.shape[3])
-            node.res_scale = float(a.get("res_scale", 1.0))
         elif op in ("conv", "deconv"):
             src = seen[node.inputs[0]]
             cin, cout = int(a["cin"]), int(a["cout"])
-            groups = int(a.get("groups", 1))
             if src.channels != cin:
                 raise IRError(
                     f"{op} node {node.name!r}: input has {src.channels} "
                     f"channels, weight expects {cin}"
                 )
-            if cin % groups or cout % groups:
-                raise IRError(
-                    f"{op} node {node.name!r}: channels not divisible by "
-                    f"groups={groups}"
-                )
             w = a.get("weight")
             if w is not None:
                 kh, kw = node.kernel()
-                expect = (kh, kw, cin // groups, cout)
+                expect = (kh, kw, cin, cout)
                 if tuple(w.shape) != expect:
                     raise IRError(
                         f"{op} node {node.name!r}: weight shape "
@@ -282,25 +244,13 @@ class Graph:
                 int(a["stride"]) if op == "deconv" else 1
             )
             self._infer_epilogues(node, seen)
-        elif op in ("relu", "prelu", "quant"):
+        elif op in ("relu", "prelu"):
             src = seen[node.inputs[0]]
             node.channels, node.res_scale = src.channels, src.res_scale
         elif op == "add":
             main, side = seen[node.inputs[0]], seen[node.inputs[1]]
             self._check_add(node.name, main, side)
             node.channels, node.res_scale = main.channels, main.res_scale
-        elif op == "concat":
-            if len(node.inputs) < 2:
-                raise IRError(
-                    f"concat node {node.name!r} needs >= 2 inputs"
-                )
-            srcs = [seen[i] for i in node.inputs]
-            if len({s.res_scale for s in srcs}) != 1:
-                raise IRError(
-                    f"concat node {node.name!r}: mixed resolutions"
-                )
-            node.channels = sum(s.channels for s in srcs)
-            node.res_scale = srcs[0].res_scale
         elif op == "depth_to_space":
             src = seen[node.inputs[0]]
             r = int(a["block"])
@@ -314,7 +264,7 @@ class Graph:
 
     def _infer_epilogues(self, node: Node, seen: Dict[str, Node]) -> None:
         for ep in node.epilogues:
-            if ep[0] not in ("relu", "prelu", "quant", "add"):
+            if ep[0] not in ("relu", "prelu", "add"):
                 raise IRError(
                     f"conv node {node.name!r}: unknown epilogue {ep[0]!r}"
                 )
@@ -344,18 +294,17 @@ class Graph:
         """Total conv/deconv MACs for an ``in_h × in_w`` network input.
 
         Same convention as :func:`repro.metrics.complexity.count_macs`:
-        ``kh·kw·(C_in/groups)·C_out`` per output pixel.
+        ``kh·kw·C_in·C_out`` per output pixel.
         """
         total = 0
         for node in self.nodes.values():
             if node.op not in ("conv", "deconv"):
                 continue
             kh, kw = node.kernel()
-            groups = int(node.attrs.get("groups", 1))
             out_px = round(in_h * node.res_scale) * round(in_w * node.res_scale)
             total += (
-                kh * kw * (int(node.attrs["cin"]) // groups)
-                * int(node.attrs["cout"]) * out_px
+                kh * kw * int(node.attrs["cin"]) * int(node.attrs["cout"])
+                * out_px
             )
         return total
 
@@ -367,8 +316,6 @@ class Graph:
             if node.op in ("conv", "deconv"):
                 kh, kw = node.kernel()
                 detail = f" k{kh}x{kw} {node.attrs['cin']}->{node.attrs['cout']}"
-                if node.attrs.get("groups", 1) != 1:
-                    detail += f" g{node.attrs['groups']}"
             elif node.op == "depth_to_space":
                 detail = f" r{node.attrs['block']}"
             eps = "".join(f" +{e[0]}" for e in node.epilogues)
@@ -400,33 +347,28 @@ def to_layer_specs(graph: Graph) -> List[LayerSpec]:
 
     This is the bridge that lets :mod:`repro.metrics.complexity` and
     :mod:`repro.hw` consume the compiler's IR.  Fused conv epilogues are
-    re-expanded to their original act/add specs (quant nodes have no
-    ``LayerSpec`` kind and are skipped), so the export is invariant under
-    the fusion passes.  Grouped convs encode the per-group MAC reduction
-    via a reduced ``cin``, matching :meth:`repro.core.carn.CARN_M.specs`.
+    re-expanded to their original act/add specs, so the export is
+    invariant under the fusion passes.
     """
     graph.infer_shapes()
     specs: List[LayerSpec] = []
     for node in graph.nodes.values():
-        if node.op in ("input", "const", "quant", "concat"):
+        if node.op == "input":
             continue
         if node.op in ("conv", "deconv"):
-            kind = "conv" if node.op == "conv" else "deconv"
-            groups = int(node.attrs.get("groups", 1))
             specs.append(
                 LayerSpec(
-                    kind,
+                    node.op,
                     node.kernel(),
-                    int(node.attrs["cin"]) // groups,
+                    int(node.attrs["cin"]),
                     int(node.attrs["cout"]),
                     node.res_scale,
                     node.name,
                 )
             )
-            for ep in node.epilogues:
-                spec = _epilogue_spec(graph, node, ep)
-                if spec is not None:
-                    specs.append(spec)
+            specs.extend(
+                _epilogue_spec(graph, node, ep) for ep in node.epilogues
+            )
         elif node.op in ("relu", "prelu"):
             specs.append(
                 LayerSpec(
@@ -465,15 +407,12 @@ def to_layer_specs(graph: Graph) -> List[LayerSpec]:
     return specs
 
 
-def _epilogue_spec(graph: Graph, conv: Node, ep: tuple) -> Optional[LayerSpec]:
-    kind, name = ep[0], ep[-1]
-    if kind in ("relu", "prelu"):
-        return LayerSpec(
-            "act", (1, 1), conv.channels, conv.channels, conv.res_scale, name
-        )
-    if kind == "add":
+def _epilogue_spec(graph: Graph, conv: Node, ep: tuple) -> LayerSpec:
+    if ep[0] == "add":
         side = graph.nodes[conv.inputs[ep[1]]]
         return LayerSpec(
-            "add", (1, 1), side.channels, conv.channels, conv.res_scale, name
+            "add", (1, 1), side.channels, conv.channels, conv.res_scale, ep[-1]
         )
-    return None  # quant: no LayerSpec kind
+    return LayerSpec(
+        "act", (1, 1), conv.channels, conv.channels, conv.res_scale, ep[-1]
+    )

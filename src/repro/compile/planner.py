@@ -21,9 +21,9 @@ plan reports ``naive_units`` (per-op allocation, what eager does) and
 better); tests pin ``planned < naive`` strictly for every zoo variant and
 ``planned == lower bound`` on pure chains.
 
-Graph inputs and consts are external (caller-owned); output nodes are
-excluded too — the executor returns freshly allocated arrays, never arena
-views (a view would be silently overwritten by the next request).
+Graph inputs are external (caller-owned); output nodes are excluded too —
+the executor returns freshly allocated arrays, never arena views (a view
+would be silently overwritten by the next request).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class BufferPlan:
     node_units: Dict[str, int]     # planned node -> its own size, in units
     naive_units: int                # per-op allocation total (eager's peak)
     lower_bound_units: int          # max simultaneously-live units
-    external: Tuple[str, ...]       # inputs/consts/outputs: not in the arena
+    external: Tuple[str, ...]       # inputs/outputs: not in the arena
 
     @property
     def planned_units(self) -> int:
@@ -80,7 +80,7 @@ def plan_buffers(graph: Graph) -> BufferPlan:
     index = {name: i for i, name in enumerate(graph.nodes)}
     external = [
         name for name, node in graph.nodes.items()
-        if node.op in ("input", "const") or name in graph.outputs
+        if node.op == "input" or name in graph.outputs
     ]
     planned = [n for n in graph.nodes if n not in external]
 
@@ -88,9 +88,8 @@ def plan_buffers(graph: Graph) -> BufferPlan:
         n: _units(graph.nodes[n].channels, graph.nodes[n].res_scale)
         for n in planned
     }
-    # A value lives from its definition to its last consumer.  (A planned
-    # node always has a consumer — dead nodes cannot reach an output and
-    # outputs are external — but guard with its own index anyway.)
+    # A value lives from its definition to its last consumer.  (Every node
+    # of a captured graph has one; a node without lives at its own step.)
     last_use = {
         n: max((index[c] for c in consumers[n]), default=index[n])
         for n in planned

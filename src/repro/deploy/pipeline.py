@@ -24,7 +24,7 @@ from .. import zoo
 from ..core.sesr import CollapsedSESR
 from ..datasets import rgb_to_ycbcr, ycbcr_to_rgb
 from ..datasets.degradation import bicubic_upscale
-from ..nn import Module, load_state
+from ..nn import Module
 from ..train.checkpoint import CheckpointCorrupt
 from .quantize import quantize_sesr
 
@@ -65,20 +65,25 @@ def load(name: str = "M5", scale: int = 2, ckpt: str = "", seed: int = 0,
             f"{zoo.factory_names()}"
         )
     if ckpt:
+        # Read every array before applying any: a file that is not an
+        # .npz zip, or one cut short, fails here, not as a mismatch.
         try:
-            load_state(model, ckpt)
+            with np.load(ckpt) as archive:
+                state = {k: archive[k] for k in archive.files}
         except FileNotFoundError:
             raise
+        except Exception as exc:  # pickle refusal, BadZipFile, zlib.error
+            raise CheckpointCorrupt(
+                f"checkpoint {ckpt!r} is unreadable (truncated, damaged "
+                f"or not an .npz): {exc}"
+            ) from exc
+        try:
+            model.load_state_dict(state)
         except (KeyError, ValueError) as exc:
             # Wrong architecture / missing keys: a caller error, but keep
             # the message pointed at the offending file.
             raise type(exc)(
                 f"checkpoint {ckpt!r} does not match model {name!r}: {exc}"
-            ) from exc
-        except Exception as exc:  # zipfile.BadZipFile, zlib.error, ...
-            raise CheckpointCorrupt(
-                f"checkpoint {ckpt!r} is unreadable (truncated or "
-                f"damaged): {exc}"
             ) from exc
     return model
 

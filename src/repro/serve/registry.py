@@ -89,7 +89,7 @@ class ModelRegistry:
     def get_compiled(self, key: ModelKey) -> Module:
         """Return the compiled plan for ``key``, compiling at most once.
 
-        This is the serving plan cache: capture → optimise → plan runs
+        This is the serving plan cache: capture → fuse → plan runs
         once per key; every engine/worker thereafter executes the same
         :class:`~repro.compile.CompiledModel` (its per-shape arenas are
         thread-local, so sharing is safe).  Every key :meth:`get` can

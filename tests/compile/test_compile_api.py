@@ -99,10 +99,6 @@ class TestCompileCLI:
         assert "graph sesr_f16m3x2" in out
         assert "%first_5x5" in out
 
-    def test_no_optimize(self, capsys):
-        assert main(["compile", "--model", "M3", "--no-optimize"]) == 0
-        assert "optimisation disabled" in capsys.readouterr().out
-
     def test_int8_requires_sesr(self, capsys):
         assert main(["compile", "--model", "FSRCNN",
                      "--precision", "int8"]) == 2

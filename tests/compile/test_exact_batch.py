@@ -14,7 +14,6 @@ import pytest
 
 from repro.compile import compile_model
 from repro.core import FSRCNN, SESR
-from repro.core.carn import CARN_M
 from repro.deploy import quantize_sesr
 from repro.obs.profiler import profile
 from repro.train import predict_image
@@ -27,7 +26,6 @@ def _models():
         ("M5-x4", SESR.from_name("M5", scale=4).collapse()),
         ("M5-int8", quantize_sesr(SESR.from_name("M5", scale=2).collapse())),
         ("FSRCNN", FSRCNN(scale=2, d=20, s=8, m=2)),
-        ("CARN_M", CARN_M(scale=2, width=16, groups=4, blocks=2, depth=2)),
     ]
 
 

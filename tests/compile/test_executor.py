@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tests.compile.conftest import eager_out
-from repro.compile import CompiledModel, capture, compile_model
+from repro.compile import CaptureError, CompiledModel, capture, compile_model
 from repro.core import FSRCNN, SESR
 from repro.core.carn import CARN_M
 from repro.deploy import quantize_sesr, receptive_radius, tiled_upscale
@@ -35,31 +35,26 @@ class TestBitIdentity:
         assert np.array_equal(compile_model(model).run(x),
                               eager_out(model, x))
 
-    def test_carn_grouped_convs_and_concats(self, nhwc):
-        model = CARN_M(scale=2, width=16, groups=4, blocks=2, depth=2)
-        x = nhwc()
-        assert np.array_equal(compile_model(model).run(x),
-                              eager_out(model, x))
-
     def test_int8_weights_only(self, nhwc):
         model = quantize_sesr(_collapsed())
         x = nhwc()
         assert np.array_equal(compile_model(model).run(x),
                               eager_out(model, x))
 
-    def test_int8_with_activation_fake_quant(self, nhwc):
-        rng = np.random.default_rng(5)
-        calib = [rng.random((12, 12)).astype(np.float32) for _ in range(2)]
-        model = quantize_sesr(_collapsed(), calib_images=calib)
-        x = nhwc()
-        assert np.array_equal(compile_model(model).run(x),
-                              eager_out(model, x))
-
-    def test_unoptimised_graph_is_also_bit_identical(self, nhwc):
-        model = _collapsed("M3")
-        x = nhwc()
-        assert np.array_equal(compile_model(model, optimize=False).run(x),
-                              eager_out(model, x))
+    def test_int8_capture_binds_the_eager_dequantized_weight(self):
+        # Capture dequantizes each int8 weight once, with the call the
+        # eager QuantizedConv2d makes on every forward: same bits.
+        model = quantize_sesr(_collapsed())
+        g = capture(model)
+        layers = {"first_5x5": model.first, "last_5x5": model.last}
+        layers.update(
+            {f"conv3x3_{i}": conv for i, conv in enumerate(model.convs)}
+        )
+        for name, layer in layers.items():
+            bound = g.nodes[name].attrs["weight"]
+            eager = layer.weight_params.dequantize(layer.weight_q)
+            assert bound.dtype == eager.dtype == np.float32
+            assert np.array_equal(bound, eager), name
 
     def test_batched_input(self, nhwc):
         model = _collapsed("M3")
@@ -202,10 +197,28 @@ class TestValidation:
             compiled.run(np.zeros((8, 8), dtype=np.float32))
 
     def test_uncollapsed_sesr_raises_capture_error(self):
-        from repro.compile import CaptureError
-
         with pytest.raises(CaptureError, match="collapse"):
             compile_model(SESR.from_name("M3", scale=2, expansion=16))
+
+    def test_carn_m_raises_capture_error(self):
+        # No deploy path builds CARN-M (it has no zoo factory).
+        model = CARN_M(scale=2, width=16, groups=4, blocks=2, depth=2)
+        with pytest.raises(CaptureError, match="CARN_M"):
+            compile_model(model)
+
+    def test_int8_activation_fake_quant_raises_capture_error(self):
+        # to_deployable quantizes weights only; activation observers come
+        # only from calibration images, which no deploy path passes.
+        rng = np.random.default_rng(5)
+        calib = [rng.random((12, 12)).astype(np.float32) for _ in range(2)]
+        model = quantize_sesr(_collapsed(), calib_images=calib)
+        with pytest.raises(CaptureError, match="fake-quant"):
+            compile_model(model)
+
+    def test_unfused_graph_is_rejected_naming_the_node(self):
+        g = capture(_collapsed("M3"))  # prelu and add nodes not yet fused
+        with pytest.raises(ValueError, match="prelu node 'prelu_first'"):
+            CompiledModel(g)
 
     def test_float64_input_is_cast(self, nhwc):
         compiled = compile_model(_collapsed("M3"))

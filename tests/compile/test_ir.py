@@ -176,13 +176,6 @@ class TestGraphSurgery:
         assert g.nodes["first_5x5"].epilogues == []
         assert g.nodes["first_5x5"].inputs == ["input"]
 
-    def test_insert_after_places_node_in_order(self):
-        g = sesr_ir(16, 3, 2)
-        g.insert_after("first_5x5", Node("q", "quant", ["first_5x5"],
-                                         {"params": None}))
-        names = list(g.nodes)
-        assert names.index("q") == names.index("first_5x5") + 1
-
     def test_replace_uses_rewrites_consumers_and_outputs(self):
         g = Graph("t")
         g.add_input("input", 4)

@@ -67,6 +67,13 @@ class TestLoad:
         with pytest.raises(CheckpointCorrupt, match="unreadable"):
             load("M3", 2, ckpt=str(path))
 
+    def test_a_file_that_is_not_a_zip_is_unreadable_not_a_mismatch(
+            self, tmp_path):
+        path = tmp_path / "bad.npz"
+        path.write_text("garbage")
+        with pytest.raises(CheckpointCorrupt, match="unreadable"):
+            load("M3", 2, ckpt=str(path))
+
 
 class TestToDeployable:
     def test_sesr_collapses_in_eval_mode(self):

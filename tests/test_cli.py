@@ -49,6 +49,12 @@ class TestParser:
             "--tile", "--ensemble",
         }
 
+    def test_compile_option_set_is_pinned(self):
+        assert self.options("compile") == {
+            "--model", "--scale", "--seed", "--ckpt", "--precision",
+            "--size", "--dump-ir",
+        }
+
 
 class TestResolutionParsing:
     def test_valid_resolution(self):
@@ -100,6 +106,7 @@ _BAD_INPUTS = {
     "mismatched-ckpt": (["--model", "M5", "--ckpt", "{tmp}/m3.npz"], "ckpt",
                         "does not match model"),
     "unreadable-ckpt": (["--ckpt", "{tmp}/torn.npz"], "ckpt", "unreadable"),
+    "not-a-zip-ckpt": (["--ckpt", "{tmp}/text.npz"], "ckpt", "unreadable"),
     "int8-fsrcnn": (["--model", "FSRCNN", "--precision", "int8"],
                     "precision", "requires a SESR model"),
 }
@@ -127,6 +134,8 @@ class TestLoadErrors:
             torn = fh.read()[:100]  # a zip cut short: unreadable
         with open(f"{tmp}/torn.npz", "wb") as fh:
             fh.write(torn)
+        with open(f"{tmp}/text.npz", "w") as fh:
+            fh.write("garbage")  # not a zip at all: unreadable too
         save_image(f"{tmp}/in.pgm", np.zeros((8, 8), dtype=np.float32))
         extra, _ = _COMMANDS[cmd]
         bad_args, _, message = _BAD_INPUTS[bad]
