@@ -15,19 +15,22 @@ drives the same ``CompiledModel`` over its own tiles.
 float operation chain exactly, only redirecting *where* results land:
 
 * conv = zero-border pad scratch → strided-patch copy into a cols buffer →
-  one sgemm (``np.matmul(..., out=...)`` — the same BLAS call ``cols @
-  wmat`` makes) → broadcast bias add.  Fused epilogues then run in place
-  on the conv's output: the identical elementwise maximum/minimum/multiply/
-  add chain the eager relu/PReLU/residual add perform.  The profiler
-  records the sgemm phase as ``gemm.blas`` (inside ``conv2d``, like
-  ``im2col``).
+  :func:`repro.nn.ops.conv_gemm`, the helper eager ``conv2d`` calls (one
+  sgemm per sample, into the destination) → broadcast bias add.  Fused
+  epilogues then run in place on the conv's output: the identical
+  elementwise maximum/minimum/multiply/add chain the eager relu/PReLU/
+  residual add perform.
 * depth-to-space is the same reshape/transpose, copied into a contiguous
   view of the destination; deconv runs the eager sub-pixel
   ``conv2d_transpose`` as a composite (its output is the FSRCNN graph
   output, so it allocates fresh anyway).
 
+No conv GEMM spans two samples, so each sample of a stacked run is
+byte-identical to its own N=1 run; that is what keeps the serving
+engine's cross-request coalescing byte-identical to unbatched serving.
 ``tests/compile/test_executor.py`` pins byte-identity against the eager
-models for every zoo variant.
+models for every zoo variant, ``tests/compile/test_exact_batch.py``
+stacked == single.
 
 **Memory.**  Arenas are cached per ``(N, H, W)`` input shape in a
 ``threading.local`` — concurrent serve workers never share mutable
@@ -38,8 +41,8 @@ allocated per call: returning an arena view would hand the caller a buffer
 the next request overwrites.
 
 Instrumentation matches the eager path: the profiler sees the same
-``im2col``/``conv2d`` records (same analytic MACs), and each run executes
-under one ``compile.execute`` tracing span.
+``im2col``/``gemm.blas``/``conv2d`` records (same analytic MACs), and
+each run executes under one ``compile.execute`` tracing span.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import numpy as np
 from ..nn import Tensor, no_grad
 from ..nn.im2col import extract_patches
 from ..nn.modules import Module
-from ..nn.ops import conv2d_transpose, resolve_padding
+from ..nn.ops import conv2d_transpose, conv_gemm, resolve_padding
 from ..obs import profiler as _profiler
 from ..obs import span
 from .ir import Graph, receptive_radius
@@ -244,22 +247,12 @@ class CompiledModel(Module):
     def forward(self, x: Tensor) -> Tensor:
         return Tensor(self.run(x.data))
 
-    def run(self, x: np.ndarray, exact_batch: bool = False) -> np.ndarray:
+    def run(self, x: np.ndarray) -> np.ndarray:
         """Execute the plan on an NHWC array; returns a fresh array.
 
-        ``exact_batch=True`` makes a batched call (N > 1) *bit-identical*
-        per sample to N independent N=1 calls: padding, im2col patch
-        extraction, and every elementwise op already are (they never mix
-        samples), but BLAS picks its sgemm blocking from the row count
-        ``m = N·h·w``, so a single stacked matmul can reassociate the
-        k-summation differently than the ``m = h·w`` call would.  Exact
-        mode shares one pad + im2col pass across the batch and then runs
-        the matmul per sample on contiguous row slices of the shared cols
-        buffer — each sample sees the very ``(h·w, k) @ (k, c)`` call the
-        singleton path makes.  This is what lets the serving engine's
-        cross-request batch coalescing stay byte-identical to unbatched
-        serving (see ``repro.serve.scheduler``); pinned by
-        ``tests/compile/test_exact_batch.py``.
+        Each sample of a stacked ``x`` (N > 1) is byte-identical to its own
+        N=1 run: samples share one pad + im2col pass, and every conv
+        issues one GEMM per sample (:func:`repro.nn.ops.conv_gemm`).
         """
         x = np.asarray(x)
         if x.dtype != np.float32:
@@ -273,13 +266,12 @@ class CompiledModel(Module):
                 f"got {x.shape[3]}"
             )
         n, h, w = x.shape[:3]
-        exact = bool(exact_batch) and n > 1
         arena = self._arena(n, h, w)
         values: Dict[str, np.ndarray] = {self.graph.inputs[0]: x}
         with span("compile.execute", model=self.source,
-                  shape=f"{n}x{h}x{w}", exact_batch=exact):
+                  shape=f"{n}x{h}x{w}"):
             for step in self._steps:
-                self._exec_step(step, values, arena, exact)
+                self._exec_step(step, values, arena)
         with self._lock:
             self._runs += 1
         return values[self.graph.outputs[0]]
@@ -289,30 +281,18 @@ class CompiledModel(Module):
             return np.empty(arena["shapes"][step["name"]], dtype=np.float32)
         return arena["views"][step["name"]]
 
-    def _exec_step(self, step, values, arena, exact: bool = False) -> None:
+    def _exec_step(self, step, values, arena) -> None:
         op = step["op"]
         if op == "conv":
-            self._exec_conv(step, values, arena, exact)
+            self._exec_conv(step, values, arena)
             return
         src = values[step["srcs"][0]]
         if op == "deconv":
             with no_grad():
-                if exact:
-                    # Per-sample transpose conv: its internal matmul row
-                    # count must match the singleton call's for bitwise
-                    # batch/single parity (see run()).
-                    out = np.concatenate([
-                        conv2d_transpose(
-                            Tensor(src[i:i + 1]), step["w_t"], step["b_t"],
-                            stride=step["stride"],
-                        ).data
-                        for i in range(src.shape[0])
-                    ])
-                else:
-                    out = conv2d_transpose(
-                        Tensor(src), step["w_t"], step["b_t"],
-                        stride=step["stride"],
-                    ).data
+                out = conv2d_transpose(
+                    Tensor(src), step["w_t"], step["b_t"],
+                    stride=step["stride"],
+                ).data
             if step["is_output"]:
                 values[step["name"]] = out
             else:
@@ -332,32 +312,7 @@ class CompiledModel(Module):
         )
         values[step["name"]] = dst
 
-    @staticmethod
-    def _matmul_rows(cols, wmat, out2d, n: int, rows: int,
-                     exact: bool, prof=None) -> None:
-        """``out2d = cols @ wmat`` via BLAS, per-sample when ``exact``.
-
-        ``cols`` rows are sample-major (``rows = h*w`` per sample), so the
-        exact path issues one ``(rows, k)`` sgemm per contiguous slice —
-        the same call shape the N=1 run makes, hence the same BLAS kernel
-        and k-summation order.
-        """
-        if exact and n > 1:
-            for i in range(n):
-                if prof is not None:
-                    t0 = time.perf_counter()
-                np.matmul(cols[i * rows:(i + 1) * rows], wmat,
-                          out=out2d[i * rows:(i + 1) * rows])
-                if prof is not None:
-                    prof.record("gemm.blas", time.perf_counter() - t0)
-        else:
-            if prof is not None:
-                t0 = time.perf_counter()
-            np.matmul(cols, wmat, out=out2d)
-            if prof is not None:
-                prof.record("gemm.blas", time.perf_counter() - t0)
-
-    def _exec_conv(self, step, values, arena, exact: bool = False) -> None:
+    def _exec_conv(self, step, values, arena) -> None:
         src = values[step["srcs"][0]]
         n, h, w, cin = src.shape
         kh, kw = step["kernel"]
@@ -386,8 +341,7 @@ class CompiledModel(Module):
         cols = cols.reshape(m, k)
         if prof is not None:
             prof.record("im2col", time.perf_counter() - t0)
-        out2d = dst.reshape(m, cout)
-        self._matmul_rows(cols, step["wmat"], out2d, n, h * w, exact, prof)
+        out2d = conv_gemm(cols, step["wmat"], n, out=dst.reshape(m, cout))
         if step["bias"] is not None:
             np.add(out2d, step["bias"], out=out2d)
         if prof is not None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..obs import profiler as _profiler
 from .im2col import dilate2d, extract_patches, fold_patches
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, records
 
 Padding = Union[str, int, Sequence[Tuple[int, int]]]
 
@@ -86,12 +86,12 @@ def conv2d(
 
     Notes
     -----
-    The forward is im2col + one ``np.matmul`` (BLAS sgemm).  This is the
-    *training-time* path; the inference executor
-    (:mod:`repro.compile.executor`) runs the same im2col + sgemm in
-    planned buffers.  BLAS output bits depend on the GEMM row count, so
-    once the serving engine stacks samples the executor issues one sgemm
-    per sample (``docs/compiler.md``).
+    The forward is im2col + BLAS sgemm through :func:`conv_gemm`, which
+    the inference executor (:mod:`repro.compile.executor`) calls too.  A
+    conv that autograd does not record issues one sgemm per sample, so
+    each sample of a stacked inference forward is byte-identical to its
+    own N=1 call.  A recorded (training) conv issues one stacked sgemm;
+    its backward reuses ``cols`` (``docs/compiler.md``).
     """
     x, w = as_tensor(x), as_tensor(w)
     if groups > 1:
@@ -109,6 +109,9 @@ def conv2d(
     (pt, pb), (pl, pr) = resolve_padding(
         (kh, kw), (sh, sw), padding, in_size=(x.shape[1], x.shape[2])
     )
+    if b is not None:
+        b = as_tensor(b)
+    parents = (x, w) if b is None else (x, w, b)
 
     # Profiling guard: one module-attribute load + None check when off
     # (see repro.obs.profiler — this is the entire disabled-path overhead).
@@ -126,13 +129,10 @@ def conv2d(
     if prof is not None:
         prof.record("im2col", time.perf_counter() - t0)
     wmat = w.data.reshape(kh * kw * cin, cout)
-    out_data = (cols @ wmat).reshape(n, ho, wo, cout)
-
-    parents = [x, w]
+    samples = 1 if records(parents) else n
+    out_data = conv_gemm(cols, wmat, samples).reshape(n, ho, wo, cout)
     if b is not None:
-        b = as_tensor(b)
         out_data = out_data + b.data
-        parents.append(b)
     if prof is not None:
         prof.record(
             "conv2d",
@@ -164,7 +164,42 @@ def conv2d(
                 "conv2d_bwd", time.perf_counter() - tb, macs=macs_b
             )
 
-    return Tensor._result(out_data, tuple(parents), backward)
+    return Tensor._result(out_data, parents, backward)
+
+
+def conv_gemm(
+    cols: np.ndarray,
+    wmat: np.ndarray,
+    samples: int,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """A conv's ``cols @ wmat``, one sgemm per sample.
+
+    ``cols`` holds ``samples`` equal, sample-major row blocks (one per
+    sample's output pixels); each block is its own ``np.matmul`` into the
+    matching rows of ``out`` (allocated when omitted).  BLAS output bits
+    depend on the call's row count and on a row's offset inside the call,
+    so a GEMM that never spans two samples makes, for each sample, the
+    very call its N=1 run makes, and gives it the same bits.  Every conv
+    forward GEMM goes through here: :func:`conv2d` and the compiled
+    executor.  ``samples=1`` is one stacked sgemm (a recorded conv).
+
+    With a profiler active each sgemm records one ``gemm.blas`` (nested
+    in ``conv2d`` like ``im2col``).
+    """
+    m = cols.shape[0]
+    if out is None:
+        out = np.empty((m, wmat.shape[1]), dtype=np.result_type(cols, wmat))
+    rows = m // max(samples, 1)
+    prof = _profiler.ACTIVE
+    for i in range(samples):
+        if prof is not None:
+            t0 = time.perf_counter()
+        lo = i * rows
+        np.matmul(cols[lo:lo + rows], wmat, out=out[lo:lo + rows])
+        if prof is not None:
+            prof.record("gemm.blas", time.perf_counter() - t0)
+    return out
 
 
 def _grouped_conv2d(

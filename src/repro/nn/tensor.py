@@ -54,6 +54,11 @@ def is_grad_enabled() -> bool:
     return getattr(_grad_state, "enabled", True)
 
 
+def records(parents: Iterable["Tensor"]) -> bool:
+    """Whether an op on ``parents`` goes on the autograd tape (per thread)."""
+    return is_grad_enabled() and any(p.requires_grad for p in parents)
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, undoing NumPy broadcasting."""
     if grad.shape == shape:
@@ -170,7 +175,7 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
         """Create an op result, wiring the tape if gradients are enabled."""
-        req = is_grad_enabled() and any(p.requires_grad for p in parents)
+        req = records(parents)
         out = Tensor(data, requires_grad=req, dtype=data.dtype)
         if req:
             out._parents = tuple(parents)

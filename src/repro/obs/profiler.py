@@ -2,11 +2,11 @@
 
 Answers "where do the MACs and the milliseconds go?" from the real
 substrate rather than from arithmetic alone: the instrumented primitives
-in :mod:`repro.nn` (``conv2d`` and its im2col phase, ``Tensor.__matmul__``)
-report wall-clock, call count, and *analytic* MACs into the active
-:class:`Profiler`, so the expanded-vs-collapsed training cost of the paper
-(§3.3, Fig. 3: 41.77B → 1.84B MACs per SESR-M5 forward) is observable by
-running the actual model.
+in :mod:`repro.nn` (``conv2d`` and its im2col and GEMM phases,
+``Tensor.__matmul__``) report wall-clock, call count, and *analytic* MACs
+into the active :class:`Profiler`, so the expanded-vs-collapsed training
+cost of the paper (§3.3, Fig. 3: 41.77B → 1.84B MACs per SESR-M5 forward)
+is observable by running the actual model.
 
 Zero overhead when disabled
 ---------------------------
@@ -32,11 +32,12 @@ Op naming convention
     ``conv2d`` is *not* double-reported here; its MACs belong to
     ``conv2d``, which makes :meth:`Profiler.total_macs` additive.
 ``gemm.blas``
-    The sgemm phase *inside* a compiled conv step.  Wall-clock only,
+    The sgemm phase *inside* a conv, eager or compiled.  Wall-clock only,
     contained in ``conv2d`` like ``im2col``.  The **call count** is the
-    GEMM dispatch ledger: a coalesced exact batch of N samples records N
+    GEMM dispatch ledger: an inference batch of N samples records N
     ``gemm.blas`` calls per conv (one sgemm per sample, see
-    :meth:`repro.compile.CompiledModel.run`).
+    :func:`repro.nn.ops.conv_gemm`), and a conv that autograd records
+    issues one.
 ``conv2d_bwd``
     The convolution backward pass (weight + input gradients), recorded
     only when a profiler is active while autograd runs.
@@ -46,8 +47,8 @@ thread-safe: the serving worker pool and HTTP handler threads may record
 concurrently.
 
 The compiled executor (:mod:`repro.compile`) reports into the same
-records: its planned-buffer convolutions emit ``conv2d``/``im2col``
-entries with the identical analytic MAC convention, so ``repro profile``
+records: its planned-buffer convolutions emit ``conv2d``/``im2col``/
+``gemm.blas`` entries with the identical analytic MAC convention, so ``repro profile``
 and the cross-consistency tests see one accounting regardless of which
 engine ran the model.
 """

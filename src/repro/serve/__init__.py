@@ -27,7 +27,6 @@ from .engine import (
     InferenceEngine,
     RequestTimeout,
     UpscaleResult,
-    predict_batch_exact,
 )
 from .scheduler import BatchScheduler, TileJob
 from .http import (
@@ -52,7 +51,6 @@ __all__ = [
     "InferenceEngine",
     "RequestTimeout",
     "UpscaleResult",
-    "predict_batch_exact",
     "SRRequestHandler",
     "SRServer",
     "make_server",

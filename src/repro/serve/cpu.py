@@ -13,10 +13,9 @@ sum is the only rule that does not let the last engine constructed win.
 The count the library had before the first registration comes back when
 the last engine unregisters.
 
-Output bits do not depend on the pool size: OpenBLAS splits an sgemm over
-the rows and columns of C, never over the k-sum, so every element is
-accumulated in the same order at any thread count (pinned in
-``tests/serve/test_cpu.py``).
+Output bits may depend on the pool size: FSRCNN's do on OpenBLAS's
+SkylakeX kernels, and SESR-M5's do on its Haswell kernels.  So an oracle
+for served bytes must run at the engine's BLAS thread count.
 
 Only OpenBLAS is driven: the copy NumPy loaded, found in
 ``/proc/self/maps``.  Anywhere else (MKL, Accelerate, no ``/proc``) the

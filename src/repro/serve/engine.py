@@ -12,7 +12,8 @@ serialising behind one thread.  The parallelism is one tile per worker,
 not inside a tile: while workers are live, the process's BLAS pool is
 sized to ``max(1, cores // live workers)`` (:mod:`repro.serve.cpu`), so
 the workers' GEMMs together run at most ``max(cores, workers)`` threads.
-The pool size does not change output bits.
+Output bits may depend on the BLAS thread count, so an oracle for served
+bytes must run at the engine's thread count.
 
 Configuration is one frozen :class:`~repro.serve.EngineConfig` value, and
 ``InferenceEngine(registry, key, config=EngineConfig(...))`` is the only
@@ -30,9 +31,10 @@ collapsed network):
   :class:`~repro.serve.BatchScheduler` coalesces same-shape tile jobs from
   *different* in-flight requests, bounded by ``max_batch`` and the window,
   with round-robin fair share so a huge request cannot starve small ones.
-  Coalesced batches share one pad + im2col pass and run the conv matmul
-  per sample (``CompiledModel.run(exact_batch=True)``), so the output
-  stays **byte-identical** to unbatched serving.
+  A coalesced batch is one stacked ``CompiledModel.run``: it shares one
+  pad + im2col pass and, like every inference conv, issues one GEMM per
+  sample (:func:`repro.nn.ops.conv_gemm`), so the output stays
+  **byte-identical** to unbatched serving.
 
 Requests are admitted through a bounded slot pool (load-shedding beats
 unbounded queueing), carry a deadline (:class:`RequestTimeout`), and
@@ -66,7 +68,6 @@ import numpy as np
 
 from ..datasets.degradation import bicubic_upscale
 from ..deploy.tiled import TileSpec, plan_tiles, receptive_radius
-from ..nn import Module
 from ..obs import trace as _trace
 from ..resilience import CircuitBreaker, FaultInjector
 from ..train import predict_image
@@ -114,25 +115,6 @@ class UpscaleResult:
     cached: bool = False
     reason: str = ""
     trace_id: str = ""
-
-
-def predict_batch_exact(model: Module, patches: np.ndarray) -> np.ndarray:
-    """Upscale a ``(N, H, W, 1)`` stack, bit-identical per sample to
-    :func:`~repro.train.predict_image` on each tile alone.
-
-    Returns ``(N, sH, sW)`` clipped to [0, 1].  Compiled models share one
-    pad/im2col pass across the batch and run the conv GEMM per sample
-    (``run(exact_batch=True)``); anything else (eager models, duck-typed
-    test doubles) is computed tile by tile — no conv coalescing, but the
-    parity contract always holds.
-    """
-    from ..compile.executor import CompiledModel
-
-    if isinstance(model, CompiledModel):
-        return np.clip(
-            model.run(patches, exact_batch=True)[..., 0], 0.0, 1.0
-        )
-    return np.stack([predict_image(model, p[..., 0]) for p in patches])
 
 
 class _Request:
@@ -422,7 +404,7 @@ class InferenceEngine:
             return False
 
     def _compute_coalesced(self, jobs: List[TileJob]) -> None:
-        """Stack same-shape tiles of several requests into one exact pass."""
+        """Stack same-shape tiles of several requests into one pass."""
         specs = [j.spec for j in jobs]
         shape = specs[0].halo_shape
         requests = len({id(j.request) for j in jobs})
@@ -434,7 +416,7 @@ class InferenceEngine:
                 j.request.lr[t.hy0:t.hy1, t.hx0:t.hx1]
                 for j, t in zip(jobs, specs)
             ])[..., None]
-            outs = predict_batch_exact(self.model, patches)
+            outs = np.clip(self.model.run(patches)[..., 0], 0.0, 1.0)
             for j, t, sr in zip(jobs, specs, outs):
                 t.stitch(j.request.out, sr, self.scale)
         self.telemetry.counter("engine.tiles").inc(len(jobs))

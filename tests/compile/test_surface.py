@@ -7,7 +7,8 @@ these sets is a reviewed decision, not a side effect.
 
 import inspect
 
-from repro.compile import DEFAULT_PASSES, PassManager, compile_model
+import repro.serve
+from repro.compile import DEFAULT_PASSES, CompiledModel, PassManager, compile_model
 from repro.compile.executor import EXECUTED_OPS
 from repro.compile.ir import OP_KINDS
 
@@ -31,3 +32,12 @@ def test_executed_ops_are_pinned():
 def test_compile_model_and_pass_manager_take_no_knobs():
     assert list(inspect.signature(compile_model).parameters) == ["model"]
     assert list(inspect.signature(PassManager).parameters) == []
+
+
+def test_run_takes_only_the_input():
+    """No batch-mode flag: every stacked run is per-sample exact."""
+    assert list(inspect.signature(CompiledModel.run).parameters) == [
+        "self", "x",
+    ]
+    assert not hasattr(repro.serve, "predict_batch_exact")
+    assert "predict_batch_exact" not in repro.serve.__all__

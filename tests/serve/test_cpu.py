@@ -123,6 +123,8 @@ def compiled_m5():
 
 @pytest.mark.parametrize("shape", [(105, 114), (57, 73), (32, 32)])
 def test_pool_size_does_not_change_output_bits(openblas, compiled_m5, shape):
+    """SESR-M5's bits at 1 and 2 BLAS threads agree on OpenBLAS's SkylakeX
+    kernels; on its Haswell kernels they do not (see ``repro.serve.cpu``)."""
     tile = np.random.default_rng(shape[0]).random(shape).astype(np.float32)
     original = openblas.get()
     outs = []
@@ -138,6 +140,9 @@ def test_pool_size_does_not_change_output_bits(openblas, compiled_m5, shape):
 
 def test_engines_churning_under_load_stay_bit_exact(registry, openblas,
                                                     monkeypatch):
+    """Resizing the pool mid-flight keeps SESR-M5's served bytes.  Holds
+    on OpenBLAS's SkylakeX kernels, where its bits do not depend on the
+    thread count; on its Haswell kernels they do."""
     # 8 "cores" on the real library: two live 2-worker engines size the
     # pool to 2 threads, and every build of a third drops it to 1 while
     # their GEMMs run.  Six workers plus two callers outnumber the cores
