@@ -5,12 +5,13 @@ same collapsed network runs through the eager ``repro.nn`` forward and
 through the :mod:`repro.compile` planned-buffer executor (which is
 bit-identical — see ``tests/compile/test_executor.py``).  Alongside
 wall-clock the table reports the planner's peak intermediate bytes vs the
-eager per-op-allocation peak.  Results are committed as
+eager per-op-allocation peak, and the arena's scratch (the banded im2col
+``cols``, the PReLU temp and the pad borders).  Results, with the host
+(cores, NumPy, BLAS threads and OpenBLAS kernel set), are committed as
 ``results/compile_micro.json``.
 """
 
 import json
-import os
 import time
 
 import numpy as np
@@ -21,10 +22,21 @@ from repro.compile import compile_model
 from repro.core import SESR
 from repro.deploy import quantize_sesr
 from repro.nn import Tensor, no_grad
+from repro.serve.cpu import cores, find_openblas
 from repro.utils import format_table
 
 REPEATS = 10 if FAST else 40
 SIZES = (48, 96) if FAST else (48, 96, 192)
+
+
+def _host() -> dict:
+    blas = find_openblas()
+    return {
+        "cores": cores(),
+        "numpy": np.__version__,
+        "blas_threads": None if blas is None else blas.get(),
+        "openblas_coretype": None if blas is None else blas.corename(),
+    }
 
 
 def _median_ms(fn, repeats=REPEATS) -> float:
@@ -54,6 +66,7 @@ def _bench_model(model, compiled, size: int) -> dict:
         "compiled_ms": round(compiled_ms, 4),
         "speedup": round(eager_ms / compiled_ms, 4),
         "arena_bytes": mem["arena_bytes"],
+        "scratch_bytes": mem["scratch_bytes"],
         "naive_bytes": mem["naive_bytes"],
     }
 
@@ -73,6 +86,7 @@ def test_compile_micro():
         "model": "SESR-M5",
         "scale": 2,
         "repeats": REPEATS,
+        "host": _host(),
         "cases": {
             name: [_bench_model(m, c, size) for size in SIZES]
             for name, (m, c) in cases.items()
@@ -82,16 +96,18 @@ def test_compile_micro():
     rows = [
         [name, r["size"], f"{r['eager_ms']:.2f}", f"{r['compiled_ms']:.2f}",
          f"{r['speedup']:.2f}x", f"{r['arena_bytes']:,}",
-         f"{r['naive_bytes']:,}"]
+         f"{r['scratch_bytes']:,}", f"{r['naive_bytes']:,}"]
         for name, rs in results["cases"].items()
         for r in rs
     ]
     text = format_table(
         ["precision", "LR size", "eager ms", "compiled ms", "speedup",
-         "arena B", "naive B"],
+         "arena B", "scratch B", "naive B"],
         rows,
-        title=f"Compiled vs eager forward — SESR-M5 x2 "
-              f"(host: {os.cpu_count()} cores)",
+        title=f"Compiled vs eager forward — SESR-M5 x2 (host: "
+              f"{results['host']['cores']} cores, BLAS threads "
+              f"{results['host']['blas_threads']}, "
+              f"{results['host']['openblas_coretype']})",
     )
     print("\n" + text)
     with open(results_path("compile_micro.json"), "w") as fh:

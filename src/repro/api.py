@@ -83,8 +83,11 @@ def upscale(
     bicubic-upscaled chroma (:func:`repro.deploy.upscale_colour`, which
     ``repro.cli upscale`` and the HTTP server call too, so all three give
     the same pixels).  ``scale`` defaults to ``model.scale``; ``tile``
-    switches to halo-exact tiled inference (identical bytes, bounded
-    memory) for large frames.
+    switches to halo-exact tiled inference for large frames.  Its output
+    equals the untiled one within float rounding, not byte for byte:
+    BLAS bits depend on the GEMM shapes a tile grid produces.  It is
+    byte-identical to the serving engine at the same tile and BLAS thread
+    count.
     """
     if scale is None:
         scale = getattr(model, "scale", None)

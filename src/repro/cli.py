@@ -299,7 +299,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     def run(mode: str) -> Profiler:
         rng = np.random.default_rng(args.seed)
-        x = rng.random((args.batch, args.size, args.size, 1))
+        # float32, like the served and compiled paths: float64 input would
+        # profile dgemms instead of the sgemms serving runs.
+        x = rng.random((args.batch, args.size, args.size, 1),
+                       dtype=np.float32)
         prof = Profiler()
         if mode == "deployed":
             with _reported():

@@ -14,12 +14,13 @@ drives the same ``CompiledModel`` over its own tiles.
 **Bit-exactness.**  Every kernel replays the eager :mod:`repro.nn.ops`
 float operation chain exactly, only redirecting *where* results land:
 
-* conv = zero-border pad scratch → strided-patch copy into a cols buffer →
-  :func:`repro.nn.ops.conv_gemm`, the helper eager ``conv2d`` calls (one
-  sgemm per sample, into the destination) → broadcast bias add.  Fused
-  epilogues then run in place on the conv's output: the identical
-  elementwise maximum/minimum/multiply/add chain the eager relu/PReLU/
-  residual add perform.
+* conv = zero-border pad scratch → :func:`repro.nn.ops.conv_gemm`, the
+  helper eager ``conv2d`` calls (for each sample and each band of whole
+  output rows: the band's patches copied into the arena's band-sized
+  ``cols``, one sgemm into the band's rows of the destination) →
+  broadcast bias add.  Fused epilogues then run in place on the conv's
+  output: the identical elementwise maximum/minimum/multiply/add chain
+  the eager relu/PReLU/residual add perform.
 * depth-to-space is the same reshape/transpose, copied into a contiguous
   view of the destination; deconv runs the eager sub-pixel
   ``conv2d_transpose`` as a composite (its output is the FSRCNN graph
@@ -30,15 +31,17 @@ byte-identical to its own N=1 run; that is what keeps the serving
 engine's cross-request coalescing byte-identical to unbatched serving.
 ``tests/compile/test_executor.py`` pins byte-identity against the eager
 models for every zoo variant, ``tests/compile/test_exact_batch.py``
-stacked == single.
+stacked == single, ``tests/compile/test_banded_conv.py`` both across band
+boundaries.
 
 **Memory.**  Arenas are cached per ``(N, H, W)`` input shape in a
 ``threading.local`` — concurrent serve workers never share mutable
 buffers, and repeat tiles of the same shape (the common serving case)
-allocate nothing.  Scratch (cols / PReLU temp / pad borders) is
-shared across nodes within an arena.  The graph output is always freshly
-allocated per call: returning an arena view would hand the caller a buffer
-the next request overwrites.
+allocate nothing.  Scratch (one band of cols / PReLU temp / pad
+borders) is shared across nodes within an arena; ``cols`` holds the
+largest band of any conv, so it does not grow with the frame.  The graph
+output is always freshly allocated per call: returning an arena view
+would hand the caller a buffer the next request overwrites.
 
 Instrumentation matches the eager path: the profiler sees the same
 ``im2col``/``gemm.blas``/``conv2d`` records (same analytic MACs), and
@@ -54,9 +57,8 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..nn import Tensor, no_grad
-from ..nn.im2col import extract_patches
 from ..nn.modules import Module
-from ..nn.ops import conv2d_transpose, conv_gemm, resolve_padding
+from ..nn.ops import band_rows, conv2d_transpose, conv_gemm, resolve_padding
 from ..obs import profiler as _profiler
 from ..obs import span
 from .ir import Graph, receptive_radius
@@ -182,7 +184,8 @@ class CompiledModel(Module):
                 continue
             oh, ow = shapes[step["name"]][1:3]
             kh, kw = step["kernel"]
-            cols = max(cols, n * oh * ow * kh * kw * step["cin"])
+            band = min(band_rows(ow), oh) * ow
+            cols = max(cols, band * kh * kw * step["cin"])
             (pt, pb), (pl, pr) = step["pad"]
             if pt or pb or pl or pr:
                 ih = round(h * step["res_scale"])
@@ -226,7 +229,13 @@ class CompiledModel(Module):
         return arena
 
     def memory_stats(self, in_h: int, in_w: int, n: int = 1) -> Dict[str, int]:
-        """Planned vs naive peak bytes for one input shape (float32)."""
+        """Planned vs naive peak bytes for one input shape (float32).
+
+        ``scratch_bytes`` is the arena's scratch on top of
+        ``arena_bytes``: one band of im2col ``cols`` (the largest of any
+        conv, see :func:`repro.nn.ops.conv_gemm`), the frame-sized PReLU
+        temp and the zero-bordered pad buffers.  Nothing is allocated.
+        """
         layout = self._layout(n, in_h, in_w)
         scratch = 4 * (
             layout["cols"] + layout["tmp"]
@@ -251,8 +260,9 @@ class CompiledModel(Module):
         """Execute the plan on an NHWC array; returns a fresh array.
 
         Each sample of a stacked ``x`` (N > 1) is byte-identical to its own
-        N=1 run: samples share one pad + im2col pass, and every conv
-        issues one GEMM per sample (:func:`repro.nn.ops.conv_gemm`).
+        N=1 run: samples share one pad pass, and every conv builds im2col
+        and issues GEMMs per band of one sample
+        (:func:`repro.nn.ops.conv_gemm`).
         """
         x = np.asarray(x)
         if x.dtype != np.float32:
@@ -330,22 +340,15 @@ class CompiledModel(Module):
         else:
             xp = src
         dst = self._dst(step, arena)
-        cout = step["cout"]
-        m, k = n * h * w, kh * kw * cin
         prof = _profiler.ACTIVE
         if prof is not None:
             t0 = time.perf_counter()
-        patches = extract_patches(xp, (kh, kw), (1, 1))
-        cols = arena["cols"][:m * k]
-        np.copyto(cols.reshape(n, h, w, kh, kw, cin), patches)
-        cols = cols.reshape(m, k)
-        if prof is not None:
-            prof.record("im2col", time.perf_counter() - t0)
-        out2d = conv_gemm(cols, step["wmat"], n, out=dst.reshape(m, cout))
+        conv_gemm(xp, step["wmat"], (kh, kw), out=dst, cols=arena["cols"])
         if step["bias"] is not None:
-            np.add(out2d, step["bias"], out=out2d)
+            np.add(dst, step["bias"], out=dst)
         if prof is not None:
-            prof.record("conv2d", time.perf_counter() - t0, macs=m * k * cout)
+            prof.record("conv2d", time.perf_counter() - t0,
+                        macs=n * h * w * kh * kw * cin * step["cout"])
         for ep in step["eps"]:
             kind = ep[0]
             if kind == "relu":

@@ -5,14 +5,14 @@ Convolution in :mod:`repro.nn.ops` is implemented as
     patches = extract_patches(x_padded)        # (N, Ho, Wo, kh, kw, C)
     y = patches.reshape(-1, kh*kw*C) @ W.reshape(kh*kw*C, Cout)
 
-which pushes all arithmetic into a single BLAS matmul — the vectorized-NumPy
-idiom the project guides call for.  ``extract_patches`` is a zero-copy view
+which pushes all arithmetic into BLAS matmuls — the vectorized-NumPy idiom
+the project guides call for.  ``extract_patches`` is a zero-copy view
 built with ``numpy.lib.stride_tricks.as_strided``; ``fold_patches`` is its
 adjoint (scatter-add), used by the convolution backward pass.
 
-The compiled executor reuses ``extract_patches`` for its im2col phase
-and feeds the patch matrix to the same BLAS sgemm, so the patch layout
-here is the one both paths contract over.
+Inference convs, eager and compiled, copy the view one band of output
+rows at a time (:func:`repro.nn.ops.conv_gemm`), so the patch layout here
+is the one every path contracts over.
 """
 
 from __future__ import annotations

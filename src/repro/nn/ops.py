@@ -86,12 +86,13 @@ def conv2d(
 
     Notes
     -----
-    The forward is im2col + BLAS sgemm through :func:`conv_gemm`, which
-    the inference executor (:mod:`repro.compile.executor`) calls too.  A
-    conv that autograd does not record issues one sgemm per sample, so
-    each sample of a stacked inference forward is byte-identical to its
-    own N=1 call.  A recorded (training) conv issues one stacked sgemm;
-    its backward reuses ``cols`` (``docs/compiler.md``).
+    The forward is im2col + BLAS sgemm.  A conv that autograd does not
+    record runs :func:`conv_gemm`, which the inference executor
+    (:mod:`repro.compile.executor`) calls too: one band-sized ``cols`` and
+    one sgemm per band of whole output rows of each sample, so each sample
+    of a stacked inference forward is byte-identical to its own N=1 call.
+    A recorded (training) conv builds the full ``cols``, which its
+    backward reuses, and issues one stacked sgemm (``docs/compiler.md``).
     """
     x, w = as_tensor(x), as_tensor(w)
     if groups > 1:
@@ -123,14 +124,18 @@ def conv2d(
         xp = np.pad(xd, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
     else:
         xp = xd
-    patches = extract_patches(xp, (kh, kw), (sh, sw))  # (N,Ho,Wo,kh,kw,C)
-    n, ho, wo = patches.shape[:3]
-    cols = patches.reshape(n * ho * wo, kh * kw * cin)
-    if prof is not None:
-        prof.record("im2col", time.perf_counter() - t0)
     wmat = w.data.reshape(kh * kw * cin, cout)
-    samples = 1 if records(parents) else n
-    out_data = conv_gemm(cols, wmat, samples).reshape(n, ho, wo, cout)
+    if records(parents):
+        # One stacked GEMM over the full cols, which the backward reuses.
+        patches = extract_patches(xp, (kh, kw), (sh, sw))  # (N,Ho,Wo,kh,kw,C)
+        n, ho, wo = patches.shape[:3]
+        cols = patches.reshape(n * ho * wo, kh * kw * cin)
+        if prof is not None:
+            prof.record("im2col", time.perf_counter() - t0)
+        out_data = _gemm(cols, wmat).reshape(n, ho, wo, cout)
+    else:
+        out_data = conv_gemm(xp, wmat, (kh, kw), (sh, sw))
+        n, ho, wo = out_data.shape[:3]
     if b is not None:
         out_data = out_data + b.data
     if prof is not None:
@@ -167,38 +172,86 @@ def conv2d(
     return Tensor._result(out_data, parents, backward)
 
 
+#: Output pixels per band of :func:`conv_gemm`: its ``cols`` scratch holds
+#: one band, so the im2col write and the sgemm read stay in L2.  Whole
+#: compiled SESR-M5 ×2 runs were fastest at 384–512 and 10–20% slower at
+#: 1024–2048, where the tail conv's band (1.6 MiB at 1024) crowds a 2 MiB
+#: L2; below 256 the per-band call overhead shows (``docs/compiler.md`` §4).
+BAND_PIXELS = 512
+
+
+def band_rows(wo: int) -> int:
+    """Output rows per :func:`conv_gemm` band for a ``wo``-wide output."""
+    return max(1, BAND_PIXELS // wo)
+
+
 def conv_gemm(
-    cols: np.ndarray,
+    xp: np.ndarray,
     wmat: np.ndarray,
-    samples: int,
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int] = (1, 1),
     out: Optional[np.ndarray] = None,
+    cols: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """A conv's ``cols @ wmat``, one sgemm per sample.
+    """An unrecorded conv's forward: banded im2col + one sgemm per band.
 
-    ``cols`` holds ``samples`` equal, sample-major row blocks (one per
-    sample's output pixels); each block is its own ``np.matmul`` into the
-    matching rows of ``out`` (allocated when omitted).  BLAS output bits
-    depend on the call's row count and on a row's offset inside the call,
-    so a GEMM that never spans two samples makes, for each sample, the
-    very call its N=1 run makes, and gives it the same bits.  Every conv
-    forward GEMM goes through here: :func:`conv2d` and the compiled
-    executor.  ``samples=1`` is one stacked sgemm (a recorded conv).
+    ``xp`` is the padded ``(N, H, W, C)`` input and ``wmat`` the
+    ``(kh·kw·C, Cout)`` weight matrix.  For each sample and each band of
+    :func:`band_rows` whole output rows, the band's patches are copied
+    into ``cols`` (a flat scratch of at least one band, allocated when
+    omitted) and one ``np.matmul`` writes that band's rows of ``out``
+    (a C-contiguous ``(N, Ho, Wo, Cout)`` array, allocated when omitted).
 
-    With a profiler active each sgemm records one ``gemm.blas`` (nested
-    in ``conv2d`` like ``im2col``).
+    The split is the only rule that sets bits.  BLAS output bits depend
+    on the call's row count and on a row's offset inside the call, so a
+    GEMM that never spans two samples makes, for each sample, the very
+    calls its N=1 run makes (stacked == single), and :func:`conv2d` and
+    the compiled executor get the same bits because both call this.  A
+    sample of at most :data:`BAND_PIXELS` output pixels is one band.
+    Recorded (training) convs do not come here: :func:`conv2d` keeps their
+    full ``cols`` for the backward and issues one stacked sgemm.
+
+    With a profiler active the conv records one ``im2col`` (its band
+    copies summed) and one ``gemm.blas`` per sgemm, both nested in
+    ``conv2d``.
     """
-    m = cols.shape[0]
+    patches = extract_patches(xp, kernel, stride)  # (N,Ho,Wo,kh,kw,C)
+    n, ho, wo = patches.shape[:3]
+    k, cout = wmat.shape
     if out is None:
-        out = np.empty((m, wmat.shape[1]), dtype=np.result_type(cols, wmat))
-    rows = m // max(samples, 1)
+        out = np.empty((n, ho, wo, cout), dtype=np.result_type(xp, wmat))
+    rows = band_rows(wo)
+    if cols is None:
+        cols = np.empty(min(rows, ho) * wo * k, dtype=xp.dtype)
     prof = _profiler.ACTIVE
-    for i in range(samples):
-        if prof is not None:
-            t0 = time.perf_counter()
-        lo = i * rows
-        np.matmul(cols[lo:lo + rows], wmat, out=out[lo:lo + rows])
-        if prof is not None:
-            prof.record("gemm.blas", time.perf_counter() - t0)
+    copy_s = 0.0
+    for i in range(n):
+        for r0 in range(0, ho, rows):
+            band = patches[i, r0:r0 + rows]
+            m = band.shape[0] * wo
+            if prof is not None:
+                t0 = time.perf_counter()
+            bcols = cols[:m * k].reshape(band.shape)
+            np.copyto(bcols, band)
+            if prof is not None:
+                copy_s += time.perf_counter() - t0
+            _gemm(bcols.reshape(m, k), wmat,
+                  out[i, r0:r0 + rows].reshape(m, cout))
+    if prof is not None:
+        prof.record("im2col", copy_s)
+    return out
+
+
+def _gemm(
+    a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``a @ b``, the one forward conv sgemm; records ``gemm.blas``."""
+    prof = _profiler.ACTIVE
+    if prof is None:
+        return np.matmul(a, b, out=out)
+    t0 = time.perf_counter()
+    out = np.matmul(a, b, out=out)
+    prof.record("gemm.blas", time.perf_counter() - t0)
     return out
 
 

@@ -34,10 +34,10 @@ Op naming convention
 ``gemm.blas``
     The sgemm phase *inside* a conv, eager or compiled.  Wall-clock only,
     contained in ``conv2d`` like ``im2col``.  The **call count** is the
-    GEMM dispatch ledger: an inference batch of N samples records N
-    ``gemm.blas`` calls per conv (one sgemm per sample, see
-    :func:`repro.nn.ops.conv_gemm`), and a conv that autograd records
-    issues one.
+    GEMM dispatch ledger: an inference conv records one ``gemm.blas`` per
+    band of output rows of each sample (N per conv for an N-sample batch
+    whose samples fit one band, see :func:`repro.nn.ops.conv_gemm`), and
+    a conv that autograd records issues one.
 ``conv2d_bwd``
     The convolution backward pass (weight + input gradients), recorded
     only when a profiler is active while autograd runs.

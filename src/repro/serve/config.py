@@ -39,7 +39,7 @@ class EngineConfig:
         wait for same-shape company before it is dispatched anyway.
         ``0`` (the default) disables coalescing — every job dispatches
         immediately.  Coalesced batches are *bit-identical* to unbatched
-        serving: every inference conv issues one GEMM per sample (see
+        serving: no inference conv GEMM spans two samples (see
         :func:`repro.nn.ops.conv_gemm`).
     cache_size:
         LRU entries for finished outputs (0 disables).

@@ -71,12 +71,24 @@ class OpenBLAS:
         self._set = getattr(lib, set_name)
         self._set.argtypes = [ctypes.c_int]
         self._set.restype = None
+        self._lib = lib
 
     def get(self) -> int:
         return int(self._get())
 
     def set(self, threads: int) -> None:
         self._set(threads)
+
+    def corename(self) -> Optional[str]:
+        """The kernel set chosen at load (``SkylakeX``, ``Haswell``, ...);
+        output bits depend on it."""
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(self._lib, name, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+        return None
 
 
 def find_openblas() -> Optional[OpenBLAS]:

@@ -32,9 +32,9 @@ collapsed network):
   *different* in-flight requests, bounded by ``max_batch`` and the window,
   with round-robin fair share so a huge request cannot starve small ones.
   A coalesced batch is one stacked ``CompiledModel.run``: it shares one
-  pad + im2col pass and, like every inference conv, issues one GEMM per
-  sample (:func:`repro.nn.ops.conv_gemm`), so the output stays
-  **byte-identical** to unbatched serving.
+  pad pass and, like every inference conv, builds im2col and issues GEMMs
+  per band of one sample (:func:`repro.nn.ops.conv_gemm`), so the output
+  stays **byte-identical** to unbatched serving.
 
 Requests are admitted through a bounded slot pool (load-shedding beats
 unbounded queueing), carry a deadline (:class:`RequestTimeout`), and

@@ -11,8 +11,8 @@ forward pass instead of each paying full freight.
 :class:`BatchScheduler` is the engine's work queue.  Workers ask it for
 work and receive a *batch*: a list of :class:`TileJob` whose tiles all
 share one ``(ModelKey, halo-shape)`` group and therefore stack into one
-``CompiledModel.run``: one im2col pass per layer and one GEMM per sample,
-so each tile's bits are those of its own run (see
+``CompiledModel.run``: one pad pass per layer and one im2col + GEMM per
+band of one sample, so each tile's bits are those of its own run (see
 :func:`repro.nn.ops.conv_gemm`).
 
 Dispatch policy

@@ -1,5 +1,6 @@
 """BLAS pool sizing: bookkeeping, output bits, and concurrent engines."""
 
+import os
 import sys
 import threading
 
@@ -114,6 +115,15 @@ def openblas():
     if lib is None:
         pytest.skip("no OpenBLAS with a thread-count setter is loaded")
     return lib
+
+
+def test_corename_names_the_kernel_set(openblas):
+    """``OPENBLAS_CORETYPE`` picks the kernel set; ``corename`` reports it."""
+    name = openblas.corename()
+    assert isinstance(name, str) and name
+    forced = os.environ.get("OPENBLAS_CORETYPE")
+    if forced:
+        assert name.lower() == forced.lower()
 
 
 @pytest.fixture(scope="module")

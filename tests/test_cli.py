@@ -299,6 +299,24 @@ class TestProfile:
         assert printed
         assert float(printed.group(1)) == pytest.approx(ratio, abs=0.01)
 
+    @pytest.mark.parametrize("mode", ["both", "deployed"])
+    def test_profiled_forward_runs_float32(self, mode, monkeypatch, capsys):
+        """Every profiled conv GEMM is the float32 sgemm serving runs."""
+        from repro.nn import ops
+
+        dtypes = []
+        real_gemm = ops._gemm
+
+        def gemm(a, b, out=None):
+            dtypes.append((a.dtype, b.dtype))
+            return real_gemm(a, b, out)
+
+        monkeypatch.setattr(ops, "_gemm", gemm)
+        assert main(["profile", "--model", "M3", "--size", "8",
+                     "--mode", mode]) == 0
+        assert dtypes
+        assert set(dtypes) == {(np.dtype(np.float32),) * 2}
+
     def test_profile_deployed_int8(self, capsys):
         assert main(["profile", "--model", "M3", "--scale", "2",
                      "--size", "8", "--mode", "deployed",
